@@ -3,9 +3,9 @@
 Subcommands: compute {S | skew | tilde | H | E | pi | f}, quotient, lines,
 flags, verify. Exit codes: 0 on success, 1 when a verify sweep reports a
 failing identity, 2 for usage and input-grammar errors, 3 for violated
-mathematical preconditions. Text output is deterministic byte for byte;
-JSON verify reports carry wall-time millis, which is the one field that
-varies between runs.
+mathematical preconditions, 4 for an unexpected internal error. Text output
+is deterministic byte for byte; JSON verify reports carry wall-time millis,
+which is the one field that varies between runs.
 """
 
 from __future__ import annotations
@@ -257,7 +257,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     saved_limit = get_term_limit()
     try:
-        if getattr(args, "max_terms", None):
+        if args.max_terms is not None:
+            if args.max_terms < 1:
+                raise ConfigInvalid(f"--max-terms must be positive, got {args.max_terms}")
             set_term_limit(args.max_terms)
         return args.func(args)
     except (PolyParseError, InvalidFieldSpec, ConfigInvalid) as exc:
@@ -266,6 +268,12 @@ def main(argv=None) -> int:
     except QschurError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # A bug, not a broken contract; exit 1 stays reserved for failing
+        # identities.
+        text = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {text}", file=sys.stderr)
+        return 4
     finally:
         set_term_limit(saved_limit)
 

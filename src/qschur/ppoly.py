@@ -1,10 +1,9 @@
 """Sparse multivariate polynomials over F_q with exponents in N[1/q].
 
-Monomials map variable indices to exponents of the form num / q^dpow,
-normalized so dpow == 0 or num is not divisible by q. Fractional exponents
-arise from the inverse Frobenius twist (exponents divided by q) and are
-first-class citizens: arithmetic, ordering, printing and parsing all handle
-them exactly. Substitution is the one operation that insists on integer
+Exponents have the form num / q^dpow. Fractional exponents arise from the
+inverse Frobenius twist (exponents divided by q) and are first-class
+citizens: arithmetic, ordering, printing and parsing all handle them
+exactly. Substitution is the one operation that insists on integer
 exponents.
 
 A PolyRing fixes the coefficient field, the variable names, and a kind tag.
@@ -17,15 +16,23 @@ The monomial order is graded lexicographic: compare exact total degrees
 first, then the exponent vectors with the lowest-index variable most
 significant. Polynomials print in descending order of that comparison.
 
-Internal monomial shape: a tuple of (var, num, dpow) triples sorted by var,
-each exponent normalized and nonzero. The empty tuple is the unit monomial.
+Internal monomial shape: a tuple of nonnegative ints, one per ring
+variable; the unit monomial is all zeros. A Poly holds one integer shift
+d >= 0 for all its terms, so the true exponents are vector / q^d. The shift
+is kept minimal (zero, or some exponent is not divisible by q), which makes
+the representation unique: equality, hashing and printing compare it
+directly. Frobenius twists move the shift and scale the vectors only when
+the shift runs out; sums and products align two shifts only when they
+differ. Outside this module monomials are (vector, shift) pairs, passed
+from leading_monomial() to coeff_of() and PolyRing.key().
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from operator import add, sub
+from typing import Iterable
 
 from .errors import (
     FractionalExponent,
@@ -52,158 +59,27 @@ def get_term_limit() -> int:
     return _term_limit
 
 
-class QExp(NamedTuple):
-    """An exponent num / q^dpow; normalized iff dpow == 0 or q does not divide num."""
-
-    num: int
-    dpow: int
+Monomial = tuple  # exponent vector, one int per ring variable
 
 
-def qexp(num: int, dpow: int, q: int) -> QExp:
-    """Normalized exponent num / q^dpow; num must be nonnegative."""
-    if num < 0:
-        raise ValueError("exponents must be nonnegative")
-    if num == 0:
-        return QExp(0, 0)
-    while dpow > 0 and num % q == 0:
-        num //= q
-        dpow -= 1
-    return QExp(num, dpow)
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(map(add, a, b))
 
 
-def _exp_add(n1: int, d1: int, n2: int, d2: int, q: int) -> tuple[int, int]:
-    if d1 == d2:
-        n, d = n1 + n2, d1
-    elif d1 < d2:
-        n, d = n1 * q ** (d2 - d1) + n2, d2
-    else:
-        n, d = n1 + n2 * q ** (d1 - d2), d1
-    while d and n % q == 0:
-        n //= q
-        d -= 1
-    return n, d
-
-
-def _exp_sub(n1: int, d1: int, n2: int, d2: int, q: int) -> tuple[int, int] | None:
-    """Exponent difference, or None when the result would be negative."""
-    if d1 == d2:
-        n, d = n1 - n2, d1
-    elif d1 < d2:
-        n, d = n1 * q ** (d2 - d1) - n2, d2
-    else:
-        n, d = n1 - n2 * q ** (d1 - d2), d1
-    if n < 0:
-        return None
-    if n == 0:
-        return 0, 0
-    while d and n % q == 0:
-        n //= q
-        d -= 1
-    return n, d
-
-
-def _exp_qshift(n: int, d: int, k: int, q: int) -> tuple[int, int]:
-    """Multiply the exponent n / q^d by q^k (k may be negative)."""
-    if k >= 0:
-        if d >= k:
-            return n, d - k
-        return n * q ** (k - d), 0
-    d -= k
-    while d and n % q == 0:
-        n //= q
-        d -= 1
-    return n, d
-
-
-Monomial = tuple  # of (var, num, dpow) triples, sorted by var
-
-UNIT_MONO: Monomial = ()
-
-
-def mono_mul(a: Monomial, b: Monomial, q: int) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    push = out.append
-    ia, ib = 0, 0
-    la, lb = len(a), len(b)
-    while ia < la and ib < lb:
-        ea = a[ia]
-        eb = b[ib]
-        va = ea[0]
-        vb = eb[0]
-        if va < vb:
-            push(ea)
-            ia += 1
-        elif vb < va:
-            push(eb)
-            ib += 1
-        else:
-            da = ea[2]
-            db = eb[2]
-            if da == 0 and db == 0:
-                # integer exponents add without renormalizing
-                push((va, ea[1] + eb[1], 0))
-            else:
-                n, d = _exp_add(ea[1], da, eb[1], db, q)
-                push((va, n, d))
-            ia += 1
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    return tuple(out)
-
-
-def mono_div(a: Monomial, b: Monomial, q: int) -> Monomial | None:
+def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
     """a / b, or None when some exponent of b exceeds the one in a."""
-    if not b:
-        return a
-    bext = dict((v, (n, d)) for v, n, d in b)
-    out = []
-    for v, n, d in a:
-        nb = bext.pop(v, None)
-        if nb is None:
-            out.append((v, n, d))
-            continue
-        res = _exp_sub(n, d, nb[0], nb[1], q)
-        if res is None:
-            return None
-        if res[0]:
-            out.append((v, res[0], res[1]))
-    if bext:
-        return None
-    return tuple(out)
+    d = tuple(map(sub, a, b))
+    return None if min(d, default=0) < 0 else d
 
 
-def mono_frobenius(m: Monomial, k: int, q: int) -> Monomial:
-    if k == 0 or not m:
-        return m
-    return tuple((v,) + _exp_qshift(n, d, k, q) for v, n, d in m)
+def mono_key(m: Monomial):
+    """Graded-lex sort key among the vectors of one polynomial."""
+    return (sum(m), m)
 
 
-def mono_degree(m: Monomial, q: int) -> Fraction:
-    deg = Fraction(0)
-    for _, n, d in m:
-        deg += Fraction(n, q**d)
-    return deg
-
-
-def mono_key(m: Monomial, q: int, nvars: int):
-    """Graded-lex sort key: (total degree, exponent vector, var 0 first).
-
-    Entries are plain ints for integer exponents and Fractions otherwise;
-    the two compare exactly against each other, so keys stay cheap on the
-    common integer-exponent path.
-    """
-    vec = [0] * nvars
-    deg = 0
-    for v, n, d in m:
-        e = n if d == 0 else Fraction(n, q**d)
-        vec[v] = e
-        deg = deg + e
-    return (deg, tuple(vec))
+def _scaled(terms: dict, f: int) -> dict:
+    """terms with every exponent vector multiplied by f."""
+    return {tuple([e * f for e in m]): c for m, c in terms.items()}
 
 
 AMBIENT_NAMES = ("x", "y", "z", "w", "v", "u", "s", "r")
@@ -214,7 +90,7 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 class PolyRing:
     """Polynomial ring: a field spec, ordered variable names, and a kind tag."""
 
-    __slots__ = ("spec", "names", "kind", "zero", "one", "_gens", "_name_index", "_hash")
+    __slots__ = ("spec", "names", "kind", "zero", "one", "_unit", "_gens", "_name_index", "_hash")
 
     def __init__(self, spec: FieldSpec, names: Iterable[str], kind: str = "ambient"):
         names = tuple(names)
@@ -230,10 +106,12 @@ class PolyRing:
         self.kind = kind
         self._hash = hash((spec, names, kind))
         self._name_index = {nm: i for i, nm in enumerate(names)}
+        n = len(names)
+        self._unit = (0,) * n
         self.zero = Poly(self, {})
-        self.one = Poly(self, {UNIT_MONO: spec.one})
+        self.one = Poly(self, {self._unit: spec.one})
         self._gens = tuple(
-            Poly(self, {((i, 1, 0),): spec.one}) for i in range(len(names))
+            Poly(self, {tuple(int(i == j) for j in range(n)): spec.one}) for i in range(n)
         )
 
     @property
@@ -253,13 +131,19 @@ class PolyRing:
             raise RingMismatch("coefficient from a different field")
         if c.idx == 0:
             return self.zero
-        return Poly(self, {UNIT_MONO: c})
+        return Poly(self, {self._unit: c})
 
-    def key(self, m: Monomial):
-        return mono_key(m, self.spec.q, len(self.names))
+    def key(self, m: tuple[Monomial, int]):
+        """Exact graded-lex key of a monomial (vector, shift); keys of
+        monomials from different polynomials compare correctly."""
+        v, d = m
+        if not d:
+            return mono_key(v)
+        den = self.spec.q**d
+        return (Fraction(sum(v), den), tuple(Fraction(e, den) for e in v))
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return other is self or (
             isinstance(other, PolyRing)
             and other.spec == self.spec
             and other.names == self.names
@@ -312,14 +196,35 @@ def _merge_term(out: dict, m: Monomial, c: FieldElement) -> None:
         out[m] = s
 
 
+def _poly(ring: PolyRing, terms: dict, d: int) -> "Poly":
+    """The polynomial with true exponents vector / q^d, its shift made minimal."""
+    q = ring.spec.q
+    f = 1
+    while d and not any(e % (f * q) for m in terms for e in m):
+        f *= q
+        d -= 1
+    if f > 1:
+        terms = {tuple([e // f for e in m]): c for m, c in terms.items()}
+    return Poly(ring, terms, d)
+
+
+def _aligned(p: "Poly", d: int) -> dict:
+    """The terms of p with exponent vectors written over q^d, d >= p.shift."""
+    if p.shift == d:
+        return p.terms
+    return _scaled(p.terms, p.ring.spec.q ** (d - p.shift))
+
+
 class Poly:
-    """Immutable sparse polynomial; terms is a dict Monomial -> nonzero coeff."""
+    """Immutable sparse polynomial: terms maps exponent vectors to nonzero
+    coefficients; the true exponents are the vectors divided by q^shift."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "shift", "_hash")
 
-    def __init__(self, ring: PolyRing, terms: dict):
+    def __init__(self, ring: PolyRing, terms: dict, shift: int = 0):
         self.ring = ring
         self.terms = terms
+        self.shift = shift
         self._hash = None
 
     def _coerce(self, other) -> "Poly | None":
@@ -337,7 +242,8 @@ class Poly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and UNIT_MONO in self.terms and self.terms[UNIT_MONO].idx == 1
+        c = self.terms.get(self.ring._unit)
+        return len(self.terms) == 1 and c is not None and c.idx == 1
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -353,9 +259,10 @@ class Poly:
         spec = self.ring.spec
         add_t = spec.add_table
         elems = spec.elements
-        out = dict(self.terms)
+        d = max(self.shift, other.shift)
+        out = dict(_aligned(self, d))
         get = out.get
-        for m, c in other.terms.items():
+        for m, c in _aligned(other, d).items():
             prev = get(m)
             if prev is None:
                 out[m] = c
@@ -365,14 +272,14 @@ class Poly:
                     out[m] = elems[s]
                 else:
                     del out[m]
-        return Poly(self.ring, out)
+        return _poly(self.ring, out, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
         if self.ring.spec.p == 2 or not self.terms:
             return self
-        return Poly(self.ring, {m: -c for m, c in self.terms.items()})
+        return Poly(self.ring, {m: -c for m, c in self.terms.items()}, self.shift)
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -395,12 +302,12 @@ class Poly:
             raise RingMismatch(
                 f"operands in different rings: {self.ring!r} vs {other.ring!r}"
             )
-        ta, tb = self.terms, other.terms
-        if not ta or not tb:
+        if not self.terms or not other.terms:
             return self.ring.zero
+        d = max(self.shift, other.shift)
+        ta, tb = _aligned(self, d), _aligned(other, d)
         limit = _term_limit
         spec = self.ring.spec
-        q = spec.q
         mul_t = spec.mul_table
         add_t = spec.add_table
         elems = spec.elements
@@ -411,7 +318,7 @@ class Poly:
         for ma, ca in ta.items():
             mrow = mul_t[ca.idx]
             for mb, cbi in tb_items:
-                m = mono_mul(ma, mb, q)
+                m = tuple(map(add, ma, mb))  # mono_mul, inlined in the hot loop
                 ci = mrow[cbi]
                 prev = get(m)
                 if prev is None:
@@ -426,7 +333,7 @@ class Poly:
                 raise TermLimitExceeded(
                     f"product holds {len(out)} terms, over the limit {limit}"
                 )
-        return Poly(self.ring, {m: elems[i] for m, i in out.items()})
+        return _poly(self.ring, {m: elems[i] for m, i in out.items()}, d)
 
     def __rmul__(self, other) -> "Poly":
         if isinstance(other, (FieldElement, int)):
@@ -445,7 +352,9 @@ class Poly:
         spec = self.ring.spec
         crow = spec.mul_table[c.idx]
         elems = spec.elements
-        return Poly(self.ring, {m: elems[crow[cc.idx]] for m, cc in self.terms.items()})
+        return Poly(
+            self.ring, {m: elems[crow[cc.idx]] for m, cc in self.terms.items()}, self.shift
+        )
 
     def __pow__(self, m: int) -> "Poly":
         if not isinstance(m, int):
@@ -456,6 +365,10 @@ class Poly:
             return self.ring.one
         if not self.terms:
             return self
+        if len(self.terms) == 1:
+            # a single term is raised directly, with no products
+            (v, c), = self.terms.items()
+            return _poly(self.ring, {tuple([e * m for e in v]): c**m}, self.shift)
         q = self.ring.spec.q
         digits = []
         mm = m
@@ -480,33 +393,50 @@ class Poly:
         """Raise every exponent by the factor q^k; coefficients unchanged."""
         if k == 0 or not self.terms:
             return self
-        q = self.ring.spec.q
-        return Poly(
-            self.ring,
-            {mono_frobenius(m, k, q): c for m, c in self.terms.items()},
-        )
+        d = self.shift - k
+        if d < 0:
+            return Poly(self.ring, _scaled(self.terms, self.ring.spec.q**-d))
+        if k < 0 and not self.shift:
+            # every exponent may be divisible by q, then d is not minimal
+            return _poly(self.ring, self.terms, d)
+        return Poly(self.ring, self.terms, d)
 
-    def leading_monomial(self) -> Monomial:
+    def leading_monomial(self) -> tuple[Monomial, int]:
+        """The leading monomial as (vector, shift), written over this
+        polynomial's shift."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=self.ring.key)
+        return max(self.terms, key=mono_key), self.shift
 
     def leading_coeff(self) -> FieldElement:
-        return self.terms[self.leading_monomial()]
+        return self.terms[max(self.terms, key=mono_key)]
 
     def has_fractional_exponents(self) -> bool:
-        return any(d for m in self.terms for _, _, d in m)
+        return self.shift > 0
 
     def degrees(self) -> set[Fraction]:
-        q = self.ring.spec.q
-        return {mono_degree(m, q) for m in self.terms}
+        den = self.ring.spec.q**self.shift
+        return {Fraction(sum(m), den) for m in self.terms}
 
     def total_degree(self) -> Fraction | None:
         degs = self.degrees()
         return max(degs) if degs else None
 
-    def coeff_of(self, m: Monomial) -> FieldElement:
-        return self.terms.get(m, self.ring.spec.zero)
+    def coeff_of(self, m: tuple[Monomial, int]) -> FieldElement:
+        """Coefficient of the monomial (vector, shift), at whatever shift it
+        is written."""
+        v, d = m
+        q = self.ring.spec.q
+        zero = self.ring.spec.zero
+        if d > self.shift:
+            f = q ** (d - self.shift)
+            if any(e % f for e in v):
+                return zero
+            v = tuple([e // f for e in v])
+        elif d < self.shift:
+            f = q ** (self.shift - d)
+            v = tuple([e * f for e in v])
+        return self.terms.get(v, zero)
 
     def evaluate_points(self, values: list[FieldElement]) -> FieldElement:
         """Evaluate at field elements (one per ring variable); integer exponents only."""
@@ -518,35 +448,43 @@ class Poly:
         for v in values:
             if v.spec != spec:
                 raise RingMismatch("evaluation point from a different field")
+        if self.shift:
+            raise FractionalExponent("point evaluation requires integer exponents")
         acc = spec.zero
         for m, c in self.terms.items():
             term = c
-            for var, n, d in m:
-                if d:
-                    raise FractionalExponent(
-                        "point evaluation requires integer exponents"
-                    )
-                term = term * values[var] ** n
+            for var, n in enumerate(m):
+                if n:
+                    term = term * values[var] ** n
             acc = acc + term
         return acc
 
     def sort_key(self):
         """Deterministic total order key among polynomials of one ring."""
         key = self.ring.key
+        d = self.shift
         return tuple(
-            (key(m), self.terms[m].idx)
-            for m in sorted(self.terms, key=key, reverse=True)
+            (key((m, d)), self.terms[m].idx)
+            for m in sorted(self.terms, key=mono_key, reverse=True)
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return other.ring == self.ring and other.terms == self.terms
+        return (
+            other.ring == self.ring
+            and other.shift == self.shift
+            and other.terms == self.terms
+        )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.ring, frozenset((m, c.idx) for m, c in self.terms.items())))
+            h = hash((
+                self.ring,
+                self.shift,
+                frozenset((m, c.idx) for m, c in self.terms.items()),
+            ))
             self._hash = h
         return h
 
@@ -557,23 +495,28 @@ class Poly:
         return f"Poly({self!s})"
 
 
+def _power_text(name: str, e: int, d: int, q: int) -> str:
+    """name raised to e / q^d, written in lowest terms."""
+    while d and e % q == 0:
+        e //= q
+        d -= 1
+    if d:
+        return f"{name}^{e}/{q ** d}"
+    return name if e == 1 else f"{name}^{e}"
+
+
 def poly_to_text(p: Poly) -> str:
     """Canonical text: terms in descending graded-lex order joined by " + "."""
     if not p.terms:
         return "0"
     ring = p.ring
     q = ring.spec.q
+    d = p.shift
     names = ring.names
     parts = []
-    for m in sorted(p.terms, key=ring.key, reverse=True):
+    for m in sorted(p.terms, key=mono_key, reverse=True):
         c = p.terms[m]
-        factors = []
-        for v, n, d in m:
-            name = names[v]
-            if d == 0:
-                factors.append(name if n == 1 else f"{name}^{n}")
-            else:
-                factors.append(f"{name}^{n}/{q ** d}")
+        factors = [_power_text(names[v], e, d, q) for v, e in enumerate(m) if e]
         if not factors:
             parts.append(str(c))
         elif c.is_one():
@@ -593,13 +536,16 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
     stripped = text.strip()
     if not stripped:
         raise PolyParseError("empty polynomial text")
-    out: dict = {}
+    # Terms as (coeff, [(var, num, dpow), ...]); vectors are built once the
+    # largest denominator q^top is known.
+    parsed = []
+    top = 0
     for raw_term in stripped.split("+"):
         term = raw_term.strip()
         if not term:
             raise PolyParseError(f"empty term in {text!r}")
         coeff = spec.one
-        exps: dict[int, tuple[int, int]] = {}
+        powers = []
         for raw_factor in term.split("*"):
             factor = raw_factor.strip()
             if not factor:
@@ -638,18 +584,17 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
                         )
                     den //= q
                     dpow += 1
-            if num == 0:
-                continue
-            prev = exps.get(var)
-            if prev is None:
-                exps[var] = qexp(num, dpow, q)
-            else:
-                exps[var] = QExp(*_exp_add(prev[0], prev[1], num, dpow, q))
-        if coeff.idx == 0:
-            continue
-        mono = tuple(sorted((v, n, d) for v, (n, d) in exps.items()))
-        _merge_term(out, mono, coeff)
-    return Poly(ring, out)
+            powers.append((var, num, dpow))
+            top = max(top, dpow)
+        if coeff.idx:
+            parsed.append((coeff, powers))
+    out: dict = {}
+    for coeff, powers in parsed:
+        vec = [0] * ring.nvars
+        for var, num, dpow in powers:
+            vec[var] += num * q ** (top - dpow)
+        _merge_term(out, tuple(vec), coeff)
+    return _poly(ring, out, top)
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
@@ -661,40 +606,40 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     ring = a.ring
     if not a.terms:
         return ring.zero
-    key = ring.key
-    q = ring.spec.q
-    mb = max(b.terms, key=key)
-    cb_inv = b.terms[mb].inverse()
-    b_items = list(b.terms.items())
-    rem = dict(a.terms)
+    d = max(a.shift, b.shift)
+    tb = _aligned(b, d)
+    mb = max(tb, key=mono_key)
+    cb_inv = tb[mb].inverse()
+    b_items = list(tb.items())
+    rem = dict(_aligned(a, d))
     out: dict = {}
     while rem:
-        mr = max(rem, key=key)
-        mq = mono_div(mr, mb, q)
+        mr = max(rem, key=mono_key)
+        mq = mono_div(mr, mb)
         if mq is None:
             raise NotDivisible(
                 "leading term "
-                + poly_to_text(Poly(ring, {mr: rem[mr]}))
+                + poly_to_text(_poly(ring, {mr: rem[mr]}, d))
                 + " is not divisible by the divisor's leading term"
             )
         cq = rem[mr] * cb_inv
         out[mq] = cq
         ncq = -cq
         for m2, c2 in b_items:
-            _merge_term(rem, mono_mul(mq, m2, q), ncq * c2)
-    return Poly(ring, out)
+            _merge_term(rem, mono_mul(mq, m2), ncq * c2)
+    return _poly(ring, out, d)
 
 
 def _variable_images(images) -> list[int] | None:
     """Indices of the target variables when every image is a bare variable."""
     out = []
     for im in images:
-        if len(im.terms) != 1:
+        if len(im.terms) != 1 or im.shift:
             return None
         m, c = next(iter(im.terms.items()))
-        if len(m) != 1 or m[0][1] != 1 or m[0][2] != 0 or not c.is_one():
+        if sum(m) != 1 or not c.is_one():
             return None
-        out.append(m[0][0])
+        out.append(m.index(1))
     return out
 
 
@@ -727,8 +672,9 @@ def evaluate_morphism(
         tring = target_ring
     if tring.spec != ring.spec:
         raise RingMismatch("substitution cannot change the coefficient field")
+    if p.shift:
+        raise FractionalExponent("substitution requires integer exponents")
     spec = tring.spec
-    q = spec.q
     add_t = spec.add_table
     mul_t = spec.mul_table
     elems = spec.elements
@@ -738,16 +684,10 @@ def evaluate_morphism(
         acc: dict = {}
         get = acc.get
         for m, c in p.terms.items():
-            ents: dict[int, tuple[int, int]] = {}
-            for var, n, d in m:
-                if d:
-                    raise FractionalExponent("substitution requires integer exponents")
-                w = varmap[var]
-                if w in ents:
-                    ents[w] = _exp_add(ents[w][0], ents[w][1], n, 0, q)
-                else:
-                    ents[w] = (n, 0)
-            mm = tuple((w, nn, dd) for w, (nn, dd) in sorted(ents.items()))
+            vec = [0] * tring.nvars
+            for w, n in zip(varmap, m):
+                vec[w] += n
+            mm = tuple(vec)
             prev = get(mm)
             if prev is None:
                 acc[mm] = c.idx
@@ -758,43 +698,35 @@ def evaluate_morphism(
                 else:
                     del acc[mm]
         return Poly(tring, {m: elems[i] for m, i in acc.items()})
+    # Images may carry fractional exponents; every piece is written over the
+    # largest image shift.
+    d = max((im.shift for im in images), default=0)
     acc = {}
     get = acc.get
     pow_cache: dict[tuple[int, int], Poly] = {}
     for m, c in p.terms.items():
-        piece: Poly | None = None
-        for var, n, d in m:
-            if d:
-                raise FractionalExponent("substitution requires integer exponents")
+        piece = tring.one
+        for var, n in enumerate(m):
+            if not n:
+                continue
             pw = pow_cache.get((var, n))
             if pw is None:
                 pw = images[var] ** n
                 pow_cache[(var, n)] = pw
-            piece = pw if piece is None else piece * pw
-        if piece is None:
-            prev = get(UNIT_MONO)
+            piece = pw if piece is tring.one else piece * pw
+        crow = mul_t[c.idx]
+        for mm, cc in _aligned(piece, d).items():
+            v = crow[cc.idx]
+            prev = get(mm)
             if prev is None:
-                acc[UNIT_MONO] = c.idx
+                acc[mm] = v
             else:
-                s = add_t[prev][c.idx]
+                s = add_t[prev][v]
                 if s:
-                    acc[UNIT_MONO] = s
+                    acc[mm] = s
                 else:
-                    del acc[UNIT_MONO]
-        else:
-            crow = mul_t[c.idx]
-            for mm, cc in piece.terms.items():
-                v = crow[cc.idx]
-                prev = get(mm)
-                if prev is None:
-                    acc[mm] = v
-                else:
-                    s = add_t[prev][v]
-                    if s:
-                        acc[mm] = s
-                    else:
-                        del acc[mm]
-    return Poly(tring, {m: elems[i] for m, i in acc.items()})
+                    del acc[mm]
+    return _poly(tring, {m: elems[i] for m, i in acc.items()}, d)
 
 
 class UniPoly:

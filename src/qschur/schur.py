@@ -67,12 +67,7 @@ class SchurContext:
         if len(alpha) != n:
             raise LengthTooLong(f"composition {alpha} must have length n={n}")
         ring = universal_ring(self.spec, n)
-        q = self.spec.q
-        one = self.spec.one
-        rows = [
-            [Poly(ring, {((i, q ** alpha[j], 0),): one}) for j in range(n)]
-            for i in range(n)
-        ]
+        rows = [[ring.gen(i).frobenius(a) for a in alpha] for i in range(n)]
         if n == 0:
             return ring.one
         return fmatrix.det(fmatrix.PolyMatrix(ring, rows))

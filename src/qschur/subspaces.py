@@ -31,9 +31,8 @@ DEFAULT_ENUMERATION_CEILING = 243
 def _reduce(v: Poly, basis: list[Poly]) -> Poly:
     """Eliminate every basis leading monomial from v (F_q-linear reduction)."""
     for b in basis:
-        lm = b.leading_monomial()
-        c = v.terms.get(lm)
-        if c is not None:
+        c = v.coeff_of(b.leading_monomial())
+        if c.idx:
             v = v - b.scale(c)
     return v
 
@@ -59,10 +58,7 @@ class Subspace:
             if not v.terms:
                 continue
             v = v.scale(v.leading_coeff().inverse())
-            lm = v.leading_monomial()
-            basis = [
-                b - v.scale(b.terms[lm]) if lm in b.terms else b for b in basis
-            ]
+            basis = [_reduce(b, [v]) for b in basis]
             basis.append(v)
         key = ring.key
         basis.sort(key=lambda b: key(b.leading_monomial()), reverse=True)

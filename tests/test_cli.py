@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qschur.cli import main
 from qschur.gf import parse_field_spec
 from qschur.ppoly import ambient_ring, get_term_limit
@@ -205,3 +207,42 @@ def test_field_list_with_modulus_commas(capsys):
     report = json.loads(out)
     qs = {c["q"] for c in report["cases"]}
     assert qs == {4, 3}
+
+
+def test_verify_coproduct_truncation_outside_dim_range(capsys):
+    # the truncation cases live at dimension 2, outside the 3..3 grid
+    code, out, err = run(capsys, "verify", "--dim", "3..3",
+                         "--identity", "coproduct-truncation", "--format", "json")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["aggregate"]["total"] == 4
+    assert report["aggregate"]["failed"] == 0
+    assert {c["n"] for c in report["cases"]} == {2}
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ("compute", "S", "--lambda", "1", "--basis", "x;y"),
+    ("verify", "--identity", "hook-step", "--field", "q=2", "--dim", "1"),
+])
+def test_max_terms_below_one_is_a_usage_error(capsys, argv, value):
+    before = get_term_limit()
+    code, out, err = run(capsys, *argv, "--max-terms", value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert get_term_limit() == before
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    import qschur.cli as cli
+
+    def broken(V):
+        raise KeyError(2)
+
+    monkeypatch.setattr(cli, "enumerate_lines", broken)
+    code, out, err = run(capsys, "lines", "--basis", "x;y")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: KeyError: 2\n"

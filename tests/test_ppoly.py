@@ -3,6 +3,9 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qschur.errors import (
     FractionalExponent,
@@ -11,7 +14,7 @@ from qschur.errors import (
     RingMismatch,
     TermLimitExceeded,
 )
-from qschur.gf import field_spec
+from qschur.gf import field_spec, parse_field_spec
 from qschur.ppoly import (
     Poly,
     UniPoly,
@@ -19,15 +22,13 @@ from qschur.ppoly import (
     evaluate_morphism,
     exact_div,
     get_term_limit,
-    mono_degree,
     mono_div,
-    mono_frobenius,
     mono_key,
     mono_mul,
-    qexp,
     set_term_limit,
     universal_ring,
 )
+from qschur.subspaces import span
 
 
 def ring2(n=2):
@@ -38,40 +39,51 @@ def ring3(n=2):
     return ambient_ring(field_spec(3), n)
 
 
-def test_qexp_normalization():
-    # num not divisible by q, dpow minimal: 2/2^1 normalizes to 1/2^0
-    assert qexp(2, 1, 2) == qexp(1, 0, 2)
-    assert qexp(6, 2, 3) == qexp(2, 1, 3)
-    assert qexp(0, 3, 2) == qexp(0, 0, 2)
-    e = qexp(5, 2, 2)
-    assert (e.num, e.dpow) == (5, 2)
+def test_shift_normalization():
+    # the shift is minimal: x^(2/2) is x, written over q^0
+    R, R3 = ring2(), ring3()
+    x, _ = R.gens()
+    u, _ = R3.gens()
+    assert x.frobenius(1).frobenius(-1) == x
+    assert x.frobenius(1).frobenius(-1).shift == 0
+    # u^(6/9) normalizes to u^(2/3)
+    assert (u**6).frobenius(-2) == (u**2).frobenius(-1)
+    assert ((u**6).frobenius(-2).terms, (u**6).frobenius(-2).shift) == ({(2, 0): R3.spec.one}, 1)
+    # exponent 0 / 2^3 is the unit monomial over q^0
+    assert R.one.frobenius(-3) == R.one
+    assert R.one.frobenius(-3).shift == 0
+    e = (x**5).frobenius(-2)
+    assert (list(e.terms), e.shift) == ([(5, 0)], 2)
 
 
 def test_mono_ops():
-    q = 2
-    a = ((0, 3, 0),)          # x^3
-    b = ((0, 1, 0), (1, 2, 0))  # x*y^2
-    assert mono_degree(a, q) == Fraction(3)
-    m = mono_mul(a, b, q)
-    assert mono_degree(m, q) == Fraction(6)
-    assert mono_div(m, b, q) == a
-    assert mono_div(b, a, q) is None
-    fr = mono_frobenius(a, 1, q)
-    assert mono_degree(fr, q) == Fraction(6)
-    back = mono_frobenius(fr, -1, q)
-    assert back == a
+    R = ring2()
+    a = (3, 0)          # x^3
+    b = (1, 2)          # x*y^2
+    assert Poly(R, {a: R.spec.one}).total_degree() == Fraction(3)
+    m = mono_mul(a, b)
+    assert Poly(R, {m: R.spec.one}).total_degree() == Fraction(6)
+    assert mono_div(m, b) == a
+    assert mono_div(b, a) is None
+    x, _ = R.gens()
+    fr = (x**3).frobenius(1)
+    assert fr.total_degree() == Fraction(6)
+    back = fr.frobenius(-1)
+    assert back == x**3
+    assert (list(back.terms), back.shift) == ([a], 0)
 
 
 def test_mono_key_graded_lex():
     R = ring2()
-    q, n = 2, 2
-    x2 = ((0, 2, 0),)
-    xy = ((0, 1, 0), (1, 1, 0))
-    y2 = ((1, 2, 0),)
-    y3 = ((1, 3, 0),)
-    keys = sorted([x2, xy, y2, y3], key=lambda m: mono_key(m, q, n), reverse=True)
+    x2 = (2, 0)
+    xy = (1, 1)
+    y2 = (0, 2)
+    y3 = (0, 3)
+    keys = sorted([x2, xy, y2, y3], key=mono_key, reverse=True)
     assert keys == [y3, x2, xy, y2]
-    assert R.key(x2) == mono_key(x2, q, n)
+    assert R.key((x2, 0)) == mono_key(x2)
+    # keys of monomials written over different shifts compare exactly
+    assert R.key(((3, 0), 2)) < R.key(((1, 0), 0)) < R.key(((5, 0), 2))
 
 
 def test_parse_str_round_trip():
@@ -153,10 +165,12 @@ def test_degrees_and_leading():
     p = x**3 + x * y
     assert p.total_degree() == Fraction(3)
     assert p.degrees() == {Fraction(3), Fraction(2)}
-    assert p.leading_monomial() == ((0, 3, 0),)
+    assert all(type(d) is Fraction for d in p.degrees())
+    assert (x**3).frobenius(-2).degrees() == {Fraction(3, 4)}
+    assert p.leading_monomial() == ((3, 0), 0)
     assert p.leading_coeff().is_one()
-    assert p.coeff_of(((0, 1, 0), (1, 1, 0))).is_one()
-    assert p.coeff_of(((1, 5, 0),)).is_zero()
+    assert p.coeff_of(((1, 1), 0)).is_one()
+    assert p.coeff_of(((0, 5), 0)).is_zero()
 
 
 def test_evaluate_points():
@@ -300,3 +314,143 @@ def test_poly_hash_and_eq():
     assert d[x + y] == 1
     assert p != x
     assert R.zero == 0 * p
+
+
+# Properties -----------------------------------------------------------------
+
+FIELDS = ["q=2", "q=3", "q=2^2"]
+
+
+@st.composite
+def polys(draw, ring, max_terms=4, max_exp=6):
+    """A random polynomial with integer exponents, built from the generators."""
+    spec = ring.spec
+    p = ring.zero
+    for _ in range(draw(st.integers(0, max_terms))):
+        m = ring.one
+        for g in ring.gens():
+            m = m * g ** draw(st.integers(0, max_exp))
+        p = p + m.scale(spec.elements[draw(st.integers(1, spec.q - 1))])
+    return p
+
+
+def field_ring(ftext, n=2):
+    return ambient_ring(parse_field_spec(ftext), n)
+
+
+twists = st.integers(0, 3)
+
+
+@pytest.mark.parametrize("ftext", FIELDS)
+@given(data=st.data(), i=twists, j=twists)
+def test_fractional_arithmetic_agrees_after_lifting(ftext, data, i, j):
+    R = field_ring(ftext)
+    a, b = data.draw(polys(R)), data.draw(polys(R))
+    K = max(i, j)
+    fa, fb = a.frobenius(-i), b.frobenius(-j)
+    assert (fa * fb).frobenius(K) == a.frobenius(K - i) * b.frobenius(K - j)
+    assert (fa + fb).frobenius(K) == a.frobenius(K - i) + b.frobenius(K - j)
+    assert (fa - fb).frobenius(K) == a.frobenius(K - i) - b.frobenius(K - j)
+    if b.terms:
+        assert exact_div(fa * fb, fb) == fa
+    # echelon reduction looks one vector's leading monomial up in another
+    S = span(R, [fa, fb])
+    assert S.dim == span(R, [a.frobenius(K - i), b.frobenius(K - j)]).dim
+    assert all(S.contains_vector(v) for v in (fa, fb, fa + fb))
+
+
+@pytest.mark.parametrize("ftext", FIELDS)
+@given(data=st.data(), i=twists, j=twists)
+def test_parse_inverts_str(ftext, data, i, j):
+    R = field_ring(ftext, 3)
+    p = data.draw(polys(R, max_exp=9)).frobenius(-i) + data.draw(polys(R, max_exp=9)).frobenius(-j)
+    assert R.parse(str(p)) == p
+    assert str(R.parse(str(p))) == str(p)
+
+
+@pytest.mark.parametrize("ftext", FIELDS)
+@given(data=st.data(), i=twists)
+def test_routes_to_one_value_agree_and_hash_alike(ftext, data, i):
+    R = field_ring(ftext)
+    q = R.spec.q
+    a, b = data.draw(polys(R)), data.draw(polys(R))
+    routes = [
+        (a.frobenius(-i) * b.frobenius(-i), (a * b).frobenius(-i)),
+        ((a**q).frobenius(-1 - i), a.frobenius(-i)),
+        (a.frobenius(-i).frobenius(i), a),
+        ((a.frobenius(i + 1) + b.frobenius(i + 1)).frobenius(-i - 1), a + b),
+    ]
+    for left, right in routes:
+        assert left == right
+        assert hash(left) == hash(right)
+        assert left.shift == right.shift
+        assert left.has_fractional_exponents() == right.has_fractional_exponents()
+    # a monomial finds its coefficient at whatever shift it is written
+    fa = a.frobenius(-i)
+    for m, c in a.terms.items():
+        assert fa.coeff_of((m, i)) == c
+        assert fa.coeff_of((tuple(e * q for e in m), i + 1)) == c
+    if fa.terms:
+        assert fa.coeff_of(fa.leading_monomial()) == fa.leading_coeff() == a.leading_coeff()
+
+
+def test_square_roots_multiply_back():
+    R = ring2()
+    x, y = R.gens()
+    r = x.frobenius(-1)
+    assert r * r == x
+    assert hash(r * r) == hash(x)
+    assert (r * r).shift == 0
+    s = (x * y).frobenius(-2)
+    assert s * s * s * s == x * y
+    assert str(s) == "x^1/4*y^1/4"
+
+
+def to_sympy(p, gens):
+    """p as a sympy polynomial over F_p (prime fields, integer exponents)."""
+    spec = p.ring.spec
+    return sympy.Poly.from_dict(
+        {m: c.coords[0] for m, c in p.terms.items()} or {(0,) * len(gens): 0},
+        *gens, modulus=spec.p,
+    )
+
+
+def from_sympy(sp, ring):
+    p = ring.spec.p
+    out = ring.zero
+    for m, c in sp.as_dict().items():
+        term = ring.one
+        for g, e in zip(ring.gens(), m):
+            term = term * g**e
+        out = out + term.scale(int(c) % p)
+    return out
+
+
+@pytest.mark.parametrize("ftext", ["q=2", "q=3"])
+@given(data=st.data())
+def test_products_and_division_match_sympy(ftext, data):
+    R = field_ring(ftext)
+    X, Y = sympy.symbols("X Y")
+    a, b, c = (data.draw(polys(R)) for _ in range(3))
+    assert from_sympy(to_sympy(a, (X, Y)) * to_sympy(b, (X, Y)), R) == a * b
+    if not b.terms:
+        return
+    n = a * b + c
+    quo, rem = sympy.div(to_sympy(n, (X, Y)), to_sympy(b, (X, Y)))
+    if rem.is_zero:
+        assert exact_div(n, b) == from_sympy(quo, R)
+    else:
+        with pytest.raises(NotDivisible):
+            exact_div(n, b)
+
+
+def test_evaluate_morphism_fractional_images():
+    # the source needs integer exponents, the images need not
+    U = universal_ring(field_spec(3), 2)
+    A = ambient_ring(field_spec(3), 2)
+    x1, x2 = U.gens()
+    x, y = A.gens()
+    r = x.frobenius(-1)
+    got = evaluate_morphism(x1**2 * x2 + 2 * x1**3 + x2, [r, x + y])
+    assert got == r * r * (x + y) + 2 * x + x + y
+    assert str(got) == "x^5/3 + x^2/3*y + y"

@@ -158,6 +158,34 @@ def test_matrix_lemma_failures_render_both_sides(monkeypatch, identity):
         assert {(r.lhs, r.rhs) for r in reps} == {("1", "0")}
 
 
+@pytest.mark.parametrize("identity", ["gl-invariance", "pi-of-line", "division-round-trip"])
+def test_failures_render_both_sides(monkeypatch, identity):
+    """Corrupt one side of a check: the failing case prints both values,
+    and they differ."""
+    from qschur import verify
+
+    spec, ctx, R, V = make(q=3)
+    if identity == "gl-invariance":
+        honest_on_basis = ctx.schur_on_basis
+        monkeypatch.setattr(ctx, "schur_on_basis",
+                            lambda lam, vectors, ring: honest_on_basis(lam, vectors, ring) + ring.one)
+        reps = [check_gl_invariance(ctx, (1,), V, seed=0)]
+    elif identity == "pi-of-line":
+        honest_pi = verify.pi_product
+        monkeypatch.setattr(verify, "pi_product", lambda U: honest_pi(U) + U.ring.one)
+        reps = check_elementary_lemmas(spec, 2, seed=0, trials=2)
+    else:
+        honest_div = verify.exact_div
+        monkeypatch.setattr(verify, "exact_div", lambda a, b: honest_div(a, b) + a.ring.one)
+        reps = [check_division_round_trip(spec, seed=0, pairs=5)]
+    (rep,) = [r for r in reps if r.identity == identity]
+    assert rep.status == "fail"
+    assert rep.lhs and rep.rhs and rep.lhs != rep.rhs, rep
+    # the sides are values, not fixed words
+    R.parse(rep.lhs)
+    R.parse(rep.rhs)
+
+
 def test_mutation_is_caught():
     """A sign error planted in a strip-expansion double must be reported.
 
