@@ -31,7 +31,8 @@ class FractionalExponent(QschurError):
 
 
 class TermLimitExceeded(QschurError):
-    """A product would exceed the configured term-count guard."""
+    """A product, an exact quotient or a substitution would exceed the
+    configured term-count guard."""
 
 
 class LengthExceeded(QschurError):

@@ -16,22 +16,31 @@ The monomial order is graded lexicographic: compare exact total degrees
 first, then the exponent vectors with the lowest-index variable most
 significant. Polynomials print in descending order of that comparison.
 
-Internal monomial shape: a tuple of nonnegative ints, one per ring
-variable; the unit monomial is all zeros. A Poly holds one integer shift
-d >= 0 for all its terms, so the true exponents are vector / q^d. The shift
-is kept minimal (zero, or some exponent is not divisible by q), which makes
-the representation unique: equality, hashing and printing compare it
-directly. Frobenius twists move the shift and scale the vectors only when
-the shift runs out; sums and products align two shifts only when they
-differ. Outside this module monomials are (vector, shift) pairs, passed
-from leading_monomial() to coeff_of() and PolyRing.key().
+Internal monomial shape: a Poly holds one integer shift d >= 0 for all its
+terms, so the true exponents are integer vectors / q^d, and each vector is
+packed into one Python int, its key. The key has one field per ring
+variable plus one for the total degree, all of one width w: the total
+degree sits in the top field, variable 0 in the next, and so on down. Every
+field keeps its top bit, the guard bit, zero. Integer order on keys is then
+graded-lex order, the monomial product is +, a / b is a - b when no field
+borrows (the difference has no guard bit set), and multiplying every
+exponent by f multiplies the key by f. The width is the smallest multiple
+of 32 bits that holds the polynomial's own largest total degree below the
+guard bit, so exponents stay exact at any size. The shift is kept minimal
+(zero, or some exponent is not divisible by q); with the width fixed by the
+degree, the representation is unique, and equality, hashing and printing
+compare keys directly. Frobenius twists move the shift and scale the keys
+only when the shift runs out; sums, products and quotients align two
+shifts, and re-pack at a new width, only when they differ. Outside this
+module monomials are (vector, shift) pairs, passed from leading_monomial()
+to coeff_of() and PolyRing.key().
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add, sub
+from heapq import heappop, heappush
 from typing import Iterable
 
 from .errors import (
@@ -48,7 +57,8 @@ _term_limit = DEFAULT_TERM_LIMIT
 
 
 def set_term_limit(limit: int) -> None:
-    """Set the global guard on term counts produced by multiplication."""
+    """Set the global guard on term counts: a product, an exact quotient or
+    a substitution that would hold more terms raises TermLimitExceeded."""
     global _term_limit
     if limit < 1:
         raise ValueError("term limit must be positive")
@@ -59,27 +69,48 @@ def get_term_limit() -> int:
     return _term_limit
 
 
-Monomial = tuple  # exponent vector, one int per ring variable
+def _over_limit(what: str, count: int) -> TermLimitExceeded:
+    return TermLimitExceeded(f"{what} holds {count} terms, over the limit {_term_limit}")
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
+WORD = 32  # field widths are multiples of this many bits
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
-    """a / b, or None when some exponent of b exceeds the one in a."""
-    d = tuple(map(sub, a, b))
-    return None if min(d, default=0) < 0 else d
+def _width(deg: int) -> int:
+    """Field width for largest total degree deg: the smallest multiple of
+    WORD bits that holds deg below the guard bit."""
+    return (deg.bit_length() // WORD + 1) * WORD
 
 
-def mono_key(m: Monomial):
-    """Graded-lex sort key among the vectors of one polynomial."""
-    return (sum(m), m)
+def _pack(v, w: int) -> int:
+    """The key of exponent vector v at field width w."""
+    k = sum(v)
+    for e in v:
+        k = (k << w) | e
+    return k
 
 
-def _scaled(terms: dict, f: int) -> dict:
-    """terms with every exponent vector multiplied by f."""
-    return {tuple([e * f for e in m]): c for m, c in terms.items()}
+def _unpack(k: int, n: int, w: int) -> tuple:
+    """The exponent vector of key k, n variables at field width w."""
+    mask = (1 << w) - 1
+    v = []
+    for _ in range(n):
+        v.append(k & mask)
+        k >>= w
+    v.reverse()
+    return tuple(v)
+
+
+def _guards(n: int, w: int) -> int:
+    """The guard bits of all n + 1 fields at width w."""
+    g = 0
+    for _ in range(n + 1):
+        g = (g << w) | (1 << (w - 1))
+    return g
+
+
+def _repacked(terms: dict, n: int, w_from: int, w_to: int) -> dict:
+    return {_pack(_unpack(k, n, w_from), w_to): c for k, c in terms.items()}
 
 
 AMBIENT_NAMES = ("x", "y", "z", "w", "v", "u", "s", "r")
@@ -90,7 +121,8 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 class PolyRing:
     """Polynomial ring: a field spec, ordered variable names, and a kind tag."""
 
-    __slots__ = ("spec", "names", "kind", "zero", "one", "_unit", "_gens", "_name_index", "_hash")
+    __slots__ = ("spec", "names", "kind", "nvars", "zero", "one", "_gens", "_name_index",
+                 "_hash")
 
     def __init__(self, spec: FieldSpec, names: Iterable[str], kind: str = "ambient"):
         names = tuple(names)
@@ -106,17 +138,14 @@ class PolyRing:
         self.kind = kind
         self._hash = hash((spec, names, kind))
         self._name_index = {nm: i for i, nm in enumerate(names)}
-        n = len(names)
-        self._unit = (0,) * n
+        n = self.nvars = len(names)
         self.zero = Poly(self, {})
-        self.one = Poly(self, {self._unit: spec.one})
+        # the unit monomial has key 0 at every width
+        self.one = Poly(self, {0: spec.one})
         self._gens = tuple(
-            Poly(self, {tuple(int(i == j) for j in range(n)): spec.one}) for i in range(n)
+            Poly(self, {_pack([int(i == j) for j in range(n)], WORD): spec.one})
+            for i in range(n)
         )
-
-    @property
-    def nvars(self) -> int:
-        return len(self.names)
 
     def gens(self) -> tuple["Poly", ...]:
         return self._gens
@@ -131,14 +160,14 @@ class PolyRing:
             raise RingMismatch("coefficient from a different field")
         if c.idx == 0:
             return self.zero
-        return Poly(self, {self._unit: c})
+        return Poly(self, {0: c})
 
-    def key(self, m: tuple[Monomial, int]):
+    def key(self, m: tuple[tuple, int]):
         """Exact graded-lex key of a monomial (vector, shift); keys of
         monomials from different polynomials compare correctly."""
         v, d = m
         if not d:
-            return mono_key(v)
+            return (sum(v), tuple(v))
         den = self.spec.q**d
         return (Fraction(sum(v), den), tuple(Fraction(e, den) for e in v))
 
@@ -184,7 +213,7 @@ def universal_ring(spec: FieldSpec, n: int) -> PolyRing:
     return ring
 
 
-def _merge_term(out: dict, m: Monomial, c: FieldElement) -> None:
+def _merge_term(out: dict, m: int, c: FieldElement) -> None:
     prev = out.get(m)
     if prev is None:
         out[m] = c
@@ -196,40 +225,91 @@ def _merge_term(out: dict, m: Monomial, c: FieldElement) -> None:
         out[m] = s
 
 
-def _poly(ring: PolyRing, terms: dict, d: int) -> "Poly":
-    """The polynomial with true exponents vector / q^d, its shift made minimal."""
-    q = ring.spec.q
-    f = 1
-    while d and not any(e % (f * q) for m in terms for e in m):
-        f *= q
-        d -= 1
-    if f > 1:
-        terms = {tuple([e // f for e in m]): c for m, c in terms.items()}
-    return Poly(ring, terms, d)
+def _divisible(terms: dict, n: int, w: int, f: int) -> bool:
+    """True when f divides every exponent of every key; the total field
+    follows from the variable fields."""
+    mask = (1 << w) - 1
+    for k in terms:
+        for _ in range(n):
+            if (k & mask) % f:
+                return False
+            k >>= w
+    return True
 
 
-def _aligned(p: "Poly", d: int) -> dict:
-    """The terms of p with exponent vectors written over q^d, d >= p.shift."""
-    if p.shift == d:
-        return p.terms
-    return _scaled(p.terms, p.ring.spec.q ** (d - p.shift))
+def _poly(ring: PolyRing, terms: dict, d: int, w: int, lead: int | None = None) -> "Poly":
+    """The polynomial with true exponents vector / q^d, keys at width w; its
+    shift is made minimal and its width fitted to its degree. lead, when
+    given, is the largest key of terms."""
+    if not terms:
+        return ring.zero
+    if d:
+        q = ring.spec.q
+        f = 1
+        while d and _divisible(terms, ring.nvars, w, f * q):
+            f *= q
+            d -= 1
+        if f > 1:
+            terms = {k // f: c for k, c in terms.items()}
+            lead = None
+    if w > WORD:
+        if lead is None:
+            lead = max(terms)
+        nw = _width(lead >> (ring.nvars * w))
+        if nw != w:
+            terms = _repacked(terms, ring.nvars, w, nw)
+            w, lead = nw, None
+    return Poly(ring, terms, d, w, lead)
+
+
+def _top(p: "Poly", d: int) -> int:
+    """Largest total degree of a nonzero p, its exponents written over
+    q^d >= q^p.shift."""
+    k = p._lead
+    if k is None:
+        k = p._leading()
+    deg = k >> (p.ring.nvars * p.width)
+    return deg if d == p.shift else deg * p.ring.spec.q ** (d - p.shift)
+
+
+def _aligned(p: "Poly", d: int, w: int) -> dict:
+    """The terms of p with exponents written over q^d, d >= p.shift, keyed
+    at width w, which must hold them."""
+    terms = p.terms
+    if p.width != w:
+        terms = _repacked(terms, p.ring.nvars, p.width, w)
+    if p.shift != d:
+        f = p.ring.spec.q ** (d - p.shift)
+        terms = {k * f: c for k, c in terms.items()}
+    return terms
 
 
 class Poly:
-    """Immutable sparse polynomial: terms maps exponent vectors to nonzero
-    coefficients; the true exponents are the vectors divided by q^shift."""
+    """Immutable sparse polynomial: terms maps monomial keys (exponent
+    vectors packed at field width `width`) to nonzero coefficients; the true
+    exponents are the vectors divided by q^shift."""
 
-    __slots__ = ("ring", "terms", "shift", "_hash")
+    __slots__ = ("ring", "terms", "shift", "width", "_lead", "_hash")
 
-    def __init__(self, ring: PolyRing, terms: dict, shift: int = 0):
+    def __init__(self, ring: PolyRing, terms: dict, shift: int = 0, width: int = WORD,
+                 lead: int | None = None):
         self.ring = ring
         self.terms = terms
         self.shift = shift
+        self.width = width
+        self._lead = lead
         self._hash = None
+
+    def _leading(self) -> int:
+        """The largest key, computed once."""
+        k = self._lead
+        if k is None:
+            k = self._lead = max(self.terms)
+        return k
 
     def _coerce(self, other) -> "Poly | None":
         if isinstance(other, Poly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatch(
                     f"operands in different rings: {self.ring!r} vs {other.ring!r}"
                 )
@@ -242,7 +322,7 @@ class Poly:
         return not self.terms
 
     def is_one(self) -> bool:
-        c = self.terms.get(self.ring._unit)
+        c = self.terms.get(0)
         return len(self.terms) == 1 and c is not None and c.idx == 1
 
     def __bool__(self) -> bool:
@@ -260,9 +340,13 @@ class Poly:
         add_t = spec.add_table
         elems = spec.elements
         d = max(self.shift, other.shift)
-        out = dict(_aligned(self, d))
+        if self.shift == other.shift:
+            w = self.width if self.width >= other.width else other.width
+        else:
+            w = _width(max(_top(self, d), _top(other, d)))
+        out = dict(_aligned(self, d, w))
         get = out.get
-        for m, c in _aligned(other, d).items():
+        for m, c in _aligned(other, d, w).items():
             prev = get(m)
             if prev is None:
                 out[m] = c
@@ -272,14 +356,15 @@ class Poly:
                     out[m] = elems[s]
                 else:
                     del out[m]
-        return _poly(self.ring, out, d)
+        return _poly(self.ring, out, d, w)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
         if self.ring.spec.p == 2 or not self.terms:
             return self
-        return Poly(self.ring, {m: -c for m, c in self.terms.items()}, self.shift)
+        return Poly(self.ring, {m: -c for m, c in self.terms.items()}, self.shift,
+                    self.width, self._lead)
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -298,14 +383,17 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatch(
                 f"operands in different rings: {self.ring!r} vs {other.ring!r}"
             )
         if not self.terms or not other.terms:
             return self.ring.zero
         d = max(self.shift, other.shift)
-        ta, tb = _aligned(self, d), _aligned(other, d)
+        # the leading terms multiply to the leading term, so the product's
+        # degree, and with it its width, is known before it is formed
+        w = _width(_top(self, d) + _top(other, d))
+        ta, tb = _aligned(self, d, w), _aligned(other, d, w)
         limit = _term_limit
         spec = self.ring.spec
         mul_t = spec.mul_table
@@ -318,7 +406,7 @@ class Poly:
         for ma, ca in ta.items():
             mrow = mul_t[ca.idx]
             for mb, cbi in tb_items:
-                m = tuple(map(add, ma, mb))  # mono_mul, inlined in the hot loop
+                m = ma + mb
                 ci = mrow[cbi]
                 prev = get(m)
                 if prev is None:
@@ -330,10 +418,13 @@ class Poly:
                     else:
                         del out[m]
             if len(out) > limit:
-                raise TermLimitExceeded(
-                    f"product holds {len(out)} terms, over the limit {limit}"
-                )
-        return _poly(self.ring, {m: elems[i] for m, i in out.items()}, d)
+                raise _over_limit("product", len(out))
+        # _top cached both leading keys; they add up when neither was re-keyed
+        lead = None
+        if ta is self.terms and tb is other.terms:
+            lead = self._lead + other._lead
+        return _poly(self.ring, dict(zip(out, map(elems.__getitem__, out.values()))), d, w,
+                     lead)
 
     def __rmul__(self, other) -> "Poly":
         if isinstance(other, (FieldElement, int)):
@@ -353,7 +444,8 @@ class Poly:
         crow = spec.mul_table[c.idx]
         elems = spec.elements
         return Poly(
-            self.ring, {m: elems[crow[cc.idx]] for m, cc in self.terms.items()}, self.shift
+            self.ring, {m: elems[crow[cc.idx]] for m, cc in self.terms.items()},
+            self.shift, self.width, self._lead,
         )
 
     def __pow__(self, m: int) -> "Poly":
@@ -367,8 +459,11 @@ class Poly:
             return self
         if len(self.terms) == 1:
             # a single term is raised directly, with no products
-            (v, c), = self.terms.items()
-            return _poly(self.ring, {tuple([e * m for e in v]): c**m}, self.shift)
+            (k, c), = self.terms.items()
+            w = _width(_top(self, self.shift) * m)
+            if w != self.width:
+                k = _pack(_unpack(k, self.ring.nvars, self.width), w)
+            return _poly(self.ring, {k * m: c**m}, self.shift, w, k * m)
         q = self.ring.spec.q
         digits = []
         mm = m
@@ -395,34 +490,41 @@ class Poly:
             return self
         d = self.shift - k
         if d < 0:
-            return Poly(self.ring, _scaled(self.terms, self.ring.spec.q**-d))
+            # the new vectors are the old ones times q^-d, at shift 0
+            f = self.ring.spec.q**-d
+            lead = self._leading()
+            w = _width((lead >> (self.ring.nvars * self.width)) * f)
+            if w != self.width:
+                return Poly(self.ring, _aligned(self, k, w), 0, w)
+            return Poly(self.ring, {m * f: c for m, c in self.terms.items()}, 0, w, lead * f)
         if k < 0 and not self.shift:
             # every exponent may be divisible by q, then d is not minimal
-            return _poly(self.ring, self.terms, d)
-        return Poly(self.ring, self.terms, d)
+            return _poly(self.ring, self.terms, d, self.width, self._lead)
+        return Poly(self.ring, self.terms, d, self.width, self._lead)
 
-    def leading_monomial(self) -> tuple[Monomial, int]:
+    def leading_monomial(self) -> tuple[tuple, int]:
         """The leading monomial as (vector, shift), written over this
         polynomial's shift."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=mono_key), self.shift
+        return _unpack(self._leading(), self.ring.nvars, self.width), self.shift
 
     def leading_coeff(self) -> FieldElement:
-        return self.terms[max(self.terms, key=mono_key)]
+        return self.terms[self._leading()]
 
     def has_fractional_exponents(self) -> bool:
         return self.shift > 0
 
     def degrees(self) -> set[Fraction]:
         den = self.ring.spec.q**self.shift
-        return {Fraction(sum(m), den) for m in self.terms}
+        s = self.ring.nvars * self.width
+        return {Fraction(m >> s, den) for m in self.terms}
 
     def total_degree(self) -> Fraction | None:
         degs = self.degrees()
         return max(degs) if degs else None
 
-    def coeff_of(self, m: tuple[Monomial, int]) -> FieldElement:
+    def coeff_of(self, m: tuple[tuple, int]) -> FieldElement:
         """Coefficient of the monomial (vector, shift), at whatever shift it
         is written."""
         v, d = m
@@ -432,18 +534,25 @@ class Poly:
             f = q ** (d - self.shift)
             if any(e % f for e in v):
                 return zero
-            v = tuple([e // f for e in v])
+            v = [e // f for e in v]
         elif d < self.shift:
             f = q ** (self.shift - d)
-            v = tuple([e * f for e in v])
-        return self.terms.get(v, zero)
+            v = [e * f for e in v]
+        w = self.width
+        k = sum(v)
+        if k >> (w - 1):
+            return zero  # above this polynomial's degree
+        for e in v:
+            k = (k << w) | e
+        return self.terms.get(k, zero)
 
     def evaluate_points(self, values: list[FieldElement]) -> FieldElement:
         """Evaluate at field elements (one per ring variable); integer exponents only."""
         spec = self.ring.spec
-        if len(values) != self.ring.nvars:
+        n = self.ring.nvars
+        if len(values) != n:
             raise RingMismatch(
-                f"expected {self.ring.nvars} values, got {len(values)}"
+                f"expected {n} values, got {len(values)}"
             )
         for v in values:
             if v.spec != spec:
@@ -453,26 +562,26 @@ class Poly:
         acc = spec.zero
         for m, c in self.terms.items():
             term = c
-            for var, n in enumerate(m):
-                if n:
-                    term = term * values[var] ** n
+            for var, e in enumerate(_unpack(m, n, self.width)):
+                if e:
+                    term = term * values[var] ** e
             acc = acc + term
         return acc
 
     def sort_key(self):
         """Deterministic total order key among polynomials of one ring."""
         key = self.ring.key
-        d = self.shift
+        n, w, d = self.ring.nvars, self.width, self.shift
         return tuple(
-            (key((m, d)), self.terms[m].idx)
-            for m in sorted(self.terms, key=mono_key, reverse=True)
+            (key((_unpack(m, n, w), d)), self.terms[m].idx)
+            for m in sorted(self.terms, reverse=True)
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
         return (
-            other.ring == self.ring
+            (other.ring is self.ring or other.ring == self.ring)
             and other.shift == self.shift
             and other.terms == self.terms
         )
@@ -512,11 +621,16 @@ def poly_to_text(p: Poly) -> str:
     ring = p.ring
     q = ring.spec.q
     d = p.shift
+    n, w = ring.nvars, p.width
     names = ring.names
     parts = []
-    for m in sorted(p.terms, key=mono_key, reverse=True):
+    for m in sorted(p.terms, reverse=True):
         c = p.terms[m]
-        factors = [_power_text(names[v], e, d, q) for v, e in enumerate(m) if e]
+        vec = _unpack(m, n, w)
+        if d:
+            factors = [_power_text(name, e, d, q) for name, e in zip(names, vec) if e]
+        else:
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, vec) if e]
         if not factors:
             parts.append(str(c))
         elif c.is_one():
@@ -537,7 +651,7 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
     if not stripped:
         raise PolyParseError("empty polynomial text")
     # Terms as (coeff, [(var, num, dpow), ...]); vectors are built once the
-    # largest denominator q^top is known.
+    # largest denominator q^top is known, and keys once the largest degree is.
     parsed = []
     top = 0
     for raw_term in stripped.split("+"):
@@ -588,17 +702,31 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
             top = max(top, dpow)
         if coeff.idx:
             parsed.append((coeff, powers))
-    out: dict = {}
+    vecs = []
     for coeff, powers in parsed:
         vec = [0] * ring.nvars
         for var, num, dpow in powers:
             vec[var] += num * q ** (top - dpow)
-        _merge_term(out, tuple(vec), coeff)
-    return _poly(ring, out, top)
+        vecs.append((vec, coeff))
+    w = _width(max((sum(v) for v, _ in vecs), default=0))
+    out: dict = {}
+    for vec, coeff in vecs:
+        _merge_term(out, _pack(vec, w), coeff)
+    return _poly(ring, out, top, w)
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
-    """Quotient a / b by repeated leading-term cancellation; raises NotDivisible."""
+    """Quotient a / b; raises NotDivisible, or TermLimitExceeded when the
+    quotient would pass the term limit.
+
+    Heap division after Monagan and Pearce ("Sparse polynomial division
+    using a heap", J. Symb. Comput. 46, 2011): the remainder is never
+    formed. Its next term is the larger of the next term of a and the top of
+    a heap of pending products q_i * b_j, which holds at most one product
+    per quotient term. Products with equal keys are not merged in the heap;
+    they are popped together and summed, and a sum that cancels leaves
+    nothing behind.
+    """
     if a.ring != b.ring:
         raise RingMismatch("exact_div operands in different rings")
     if not b.terms:
@@ -607,27 +735,63 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     if not a.terms:
         return ring.zero
     d = max(a.shift, b.shift)
-    tb = _aligned(b, d)
-    mb = max(tb, key=mono_key)
-    cb_inv = tb[mb].inverse()
-    b_items = list(tb.items())
-    rem = dict(_aligned(a, d))
-    out: dict = {}
-    while rem:
-        mr = max(rem, key=mono_key)
-        mq = mono_div(mr, mb)
-        if mq is None:
+    w = _width(max(_top(a, d), _top(b, d)))
+    ta, tb = _aligned(a, d, w), _aligned(b, d, w)
+    guard = _guards(ring.nvars, w)
+    spec = ring.spec
+    add_t = spec.add_table
+    mul_t = spec.mul_table
+    elems = spec.elements
+    limit = _term_limit
+    a_keys = sorted(ta, reverse=True)
+    na = len(a_keys)
+    b_keys = sorted(tb, reverse=True)
+    b_lead = b_keys[0]
+    b_inv = spec.inv_table[tb[b_lead].idx]
+    neg = spec.neg_table
+    # the divisor's other terms, with negated coefficient indices
+    b_rest = [(k, neg[tb[k].idx]) for k in b_keys[1:]]
+    nb = len(b_rest)
+    q_keys: list[int] = []
+    q_coeffs: list[int] = []
+    q_next: list[int] = []  # index into b_rest of each quotient term's pending product
+    heap: list[tuple[int, int]] = []  # (-key, quotient index)
+    ai = 0
+    while ai < na or heap:
+        m = a_keys[ai] if ai < na else -1
+        if heap and -heap[0][0] >= m:
+            m = -heap[0][0]
+        c = 0
+        if ai < na and a_keys[ai] == m:
+            c = ta[m].idx
+            ai += 1
+        while heap and heap[0][0] == -m:
+            i = heappop(heap)[1]
+            j = q_next[i]
+            c = add_t[c][mul_t[q_coeffs[i]][b_rest[j][1]]]
+            j += 1
+            if j < nb:
+                q_next[i] = j
+                heappush(heap, (-(q_keys[i] + b_rest[j][0]), i))
+        if not c:
+            continue
+        r = m - b_lead
+        if r & guard:
+            # some field borrowed: the divisor's leading term does not divide
             raise NotDivisible(
                 "leading term "
-                + poly_to_text(_poly(ring, {mr: rem[mr]}, d))
+                + poly_to_text(_poly(ring, {m: elems[c]}, d, w))
                 + " is not divisible by the divisor's leading term"
             )
-        cq = rem[mr] * cb_inv
-        out[mq] = cq
-        ncq = -cq
-        for m2, c2 in b_items:
-            _merge_term(rem, mono_mul(mq, m2), ncq * c2)
-    return _poly(ring, out, d)
+        i = len(q_keys)
+        if i == limit:
+            raise _over_limit("quotient", i + 1)
+        q_keys.append(r)
+        q_coeffs.append(mul_t[c][b_inv])
+        q_next.append(0)
+        if nb:
+            heappush(heap, (-(r + b_rest[0][0]), i))
+    return _poly(ring, dict(zip(q_keys, map(elems.__getitem__, q_coeffs))), d, w, q_keys[0])
 
 
 def _variable_images(images) -> list[int] | None:
@@ -636,10 +800,11 @@ def _variable_images(images) -> list[int] | None:
     for im in images:
         if len(im.terms) != 1 or im.shift:
             return None
-        m, c = next(iter(im.terms.items()))
-        if sum(m) != 1 or not c.is_one():
+        (k, c), = im.terms.items()
+        v = _unpack(k, im.ring.nvars, im.width)
+        if sum(v) != 1 or not c.is_one():
             return None
-        out.append(m.index(1))
+        out.append(v.index(1))
     return out
 
 
@@ -650,7 +815,8 @@ def evaluate_morphism(
 
     The source must be a universal ring and p must have integer exponents;
     the images must all live in one ring over the same field, which becomes
-    the target. target_ring is only needed for zero-variable sources.
+    the target. target_ring is only needed for zero-variable sources. A
+    result over the term limit raises TermLimitExceeded.
     """
     ring = p.ring
     if ring.kind != "universal":
@@ -678,16 +844,24 @@ def evaluate_morphism(
     add_t = spec.add_table
     mul_t = spec.mul_table
     elems = spec.elements
+    limit = _term_limit
+    n, nt, w = ring.nvars, tring.nvars, p.width
     varmap = _variable_images(images)
     if varmap is not None:
-        # Plain variable images: substitution is a relabeling, no products.
+        # Plain variable images: substitution is a relabeling, no products,
+        # and the total degree, hence the width, is unchanged.
+        if len(p.terms) > limit:
+            raise _over_limit("substitution", len(p.terms))
+        if varmap == list(range(nt)):
+            return Poly(tring, p.terms, 0, w, p._lead)
+        mask = (1 << w) - 1
+        moves = [((n - 1 - i) * w, (nt - 1 - t) * w) for i, t in enumerate(varmap)]
         acc: dict = {}
         get = acc.get
         for m, c in p.terms.items():
-            vec = [0] * tring.nvars
-            for w, n in zip(varmap, m):
-                vec[w] += n
-            mm = tuple(vec)
+            mm = (m >> (n * w)) << (nt * w)
+            for s, t in moves:
+                mm += ((m >> s) & mask) << t
             prev = get(mm)
             if prev is None:
                 acc[mm] = c.idx
@@ -697,25 +871,30 @@ def evaluate_morphism(
                     acc[mm] = s
                 else:
                     del acc[mm]
-        return Poly(tring, {m: elems[i] for m, i in acc.items()})
+        return _poly(tring, {m: elems[i] for m, i in acc.items()}, 0, w)
     # Images may carry fractional exponents; every piece is written over the
-    # largest image shift.
+    # largest image shift, at the width of the largest piece degree.
     d = max((im.shift for im in images), default=0)
+    source = [(_unpack(m, n, w), c) for m, c in p.terms.items()]
+    image_degrees = [_top(im, d) if im.terms else 0 for im in images]
+    tw = _width(max(
+        (sum(e * g for e, g in zip(v, image_degrees)) for v, _ in source), default=0
+    ))
     acc = {}
     get = acc.get
     pow_cache: dict[tuple[int, int], Poly] = {}
-    for m, c in p.terms.items():
+    for m, c in source:
         piece = tring.one
-        for var, n in enumerate(m):
-            if not n:
+        for var, e in enumerate(m):
+            if not e:
                 continue
-            pw = pow_cache.get((var, n))
+            pw = pow_cache.get((var, e))
             if pw is None:
-                pw = images[var] ** n
-                pow_cache[(var, n)] = pw
+                pw = images[var] ** e
+                pow_cache[(var, e)] = pw
             piece = pw if piece is tring.one else piece * pw
         crow = mul_t[c.idx]
-        for mm, cc in _aligned(piece, d).items():
+        for mm, cc in _aligned(piece, d, tw).items():
             v = crow[cc.idx]
             prev = get(mm)
             if prev is None:
@@ -726,7 +905,9 @@ def evaluate_morphism(
                     acc[mm] = s
                 else:
                     del acc[mm]
-    return _poly(tring, {m: elems[i] for m, i in acc.items()}, d)
+        if len(acc) > limit:
+            raise _over_limit("substitution", len(acc))
+    return _poly(tring, {m: elems[i] for m, i in acc.items()}, d, tw)
 
 
 class UniPoly:

@@ -10,6 +10,7 @@ from seeded generators only, so a sweep is reproducible from its seed.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -241,11 +242,37 @@ def check_coproduct(ctx: SchurContext, lam, mu, V: Subspace, U: Subspace) -> Cas
 # Matrix calculus ----------------------------------------------------------
 
 
+def _window_sides(windows, lo: int):
+    """Lazy failing sides for two square windows from row and column lo on
+    that should be equal: windows() runs once, on failure, and each side
+    lists the cells where they differ as (i,j): <value>."""
+
+    @functools.cache
+    def sides():
+        left, right = windows()
+        cells = [(i, j) for i in range(left.rows) for j in range(left.cols)
+                 if left.entry(i, j) != right.entry(i, j)]
+        return tuple(
+            "; ".join(f"({lo + i},{lo + j}): {w.entry(i, j)}" for i, j in cells)
+            for w in (left, right)
+        )
+
+    return (lambda: sides()[0]), (lambda: sides()[1])
+
+
 def check_he_inverse(ctx: SchurContext, V: Subspace, lo: int, hi: int) -> CaseReport:
     t0 = time.perf_counter()
     ok = ctx.he_inverse_check(V, lo, hi)
-    rep = _case("he-inverse", ctx.spec.q, V, (), (), t0,
-                ok, "window product", "identity window")
+    ring = V.ring
+
+    def windows():
+        size = hi - lo + 1
+        identity = fmatrix.PolyMatrix(
+            ring, [[ring.one if i == j else ring.zero for j in range(size)] for i in range(size)]
+        )
+        return fmatrix.window_product(ctx.h_matrix(V), ctx.e_matrix(V), lo, hi), identity
+
+    rep = _case("he-inverse", ctx.spec.q, V, (), (), t0, ok, *_window_sides(windows, lo))
     rep.basis = f"{V.describe()} window [{lo},{hi}]"
     return rep
 
@@ -253,8 +280,18 @@ def check_he_inverse(ctx: SchurContext, V: Subspace, lo: int, hi: int) -> CaseRe
 def check_factorization(ctx: SchurContext, V: Subspace, U: Subspace) -> CaseReport:
     t0 = time.perf_counter()
     ok = ctx.quotient_factorization_check(V, U)
+
+    def windows():
+        # the window and twist of SchurContext.quotient_factorization_check
+        Q = internal_quotient(V, U)
+        lo, hi = -(V.dim + 3), V.dim + 3
+        prod = fmatrix.window_product(
+            ctx.h_matrix(Q), ctx.h_matrix(U, twist=V.dim - U.dim), lo, hi
+        )
+        return prod, fmatrix.window_of(ctx.h_matrix(V), lo, hi)
+
     rep = _case("h-factorization", ctx.spec.q, V, (), (), t0,
-                ok, "factored window product", "direct window")
+                ok, *_window_sides(windows, -(V.dim + 3)))
     rep.basis = V.describe() + " // " + U.describe()
     return rep
 
@@ -394,8 +431,9 @@ def check_pi_flag_product(flag: Flag, q: int) -> CaseReport:
 def check_hook_step(ctx: SchurContext, U: Subspace, r: int) -> CaseReport:
     t0 = time.perf_counter()
     ok = ctx.hook_step_check(U, r)
-    return _case("hook-step", ctx.spec.q, U, (r,), (), t0,
-                 ok, "pi * twisted H", "-H")
+    return _case("hook-step", ctx.spec.q, U, (r,), (), t0, ok,
+                 lambda: str(subspaces.pi_product(U) * ctx.h_r(r - 1, U).frobenius(1)),
+                 lambda: str(-ctx.h_r(r, U)))
 
 
 def check_full_column(ctx: SchurContext, lam, V: Subspace) -> CaseReport:

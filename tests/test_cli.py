@@ -199,6 +199,20 @@ def test_max_terms_restored_after_run(capsys):
     assert get_term_limit() == before
 
 
+def test_max_terms_bounds_quotients(capsys):
+    # H_6 on span(x, y) at q=3 is an exact quotient of 1,093 terms
+    before = get_term_limit()
+    argv = ("compute", "H", "--r", "6", "--field", "q=3", "--basis", "x;y")
+    code, out, err = run(capsys, *argv, "--max-terms", "50")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "over the limit 50" in err and err.count("\n") == 1
+    assert get_term_limit() == before
+    code, out, _ = run(capsys, *argv, "--max-terms", "1093")
+    assert code == 0
+    assert out.count(" + ") == 1092
+
+
 def test_field_list_with_modulus_commas(capsys):
     code, out, _ = run(capsys, "verify", "--identity", "power-sum-zero",
                        "--field", "q=2^2:1,1,1,q=3", "--dim", "1",

@@ -1,6 +1,7 @@
 """Polynomial core: sparse terms, q-local exponents, Frobenius, division."""
 
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 import sympy
@@ -20,11 +21,12 @@ from qschur.ppoly import (
     UniPoly,
     ambient_ring,
     evaluate_morphism,
+    _guards,
+    _pack,
+    _unpack,
+    _width,
     exact_div,
     get_term_limit,
-    mono_div,
-    mono_key,
-    mono_mul,
     set_term_limit,
     universal_ring,
 )
@@ -39,6 +41,11 @@ def ring3(n=2):
     return ambient_ring(field_spec(3), n)
 
 
+def vectors(p):
+    """p's terms keyed by exponent vectors, written over q^p.shift."""
+    return {_unpack(k, p.ring.nvars, p.width): c for k, c in p.terms.items()}
+
+
 def test_shift_normalization():
     # the shift is minimal: x^(2/2) is x, written over q^0
     R, R3 = ring2(), ring3()
@@ -48,23 +55,28 @@ def test_shift_normalization():
     assert x.frobenius(1).frobenius(-1).shift == 0
     # u^(6/9) normalizes to u^(2/3)
     assert (u**6).frobenius(-2) == (u**2).frobenius(-1)
-    assert ((u**6).frobenius(-2).terms, (u**6).frobenius(-2).shift) == ({(2, 0): R3.spec.one}, 1)
+    assert (vectors((u**6).frobenius(-2)), (u**6).frobenius(-2).shift) == ({(2, 0): R3.spec.one}, 1)
     # exponent 0 / 2^3 is the unit monomial over q^0
     assert R.one.frobenius(-3) == R.one
     assert R.one.frobenius(-3).shift == 0
     e = (x**5).frobenius(-2)
-    assert (list(e.terms), e.shift) == ([(5, 0)], 2)
+    assert (vectors(e), e.shift) == ({(5, 0): R.spec.one}, 2)
+    assert list(e.terms) == [_pack((5, 0), 32)]
 
 
 def test_mono_ops():
+    # packed keys: the product is +, the quotient is - with no guard bit set
     R = ring2()
-    a = (3, 0)          # x^3
-    b = (1, 2)          # x*y^2
+    a = _pack((3, 0), 32)          # x^3
+    b = _pack((1, 2), 32)          # x*y^2
+    assert _unpack(a, 2, 32) == (3, 0)
     assert Poly(R, {a: R.spec.one}).total_degree() == Fraction(3)
-    m = mono_mul(a, b)
+    m = a + b
+    assert _unpack(m, 2, 32) == (4, 2)
     assert Poly(R, {m: R.spec.one}).total_degree() == Fraction(6)
-    assert mono_div(m, b) == a
-    assert mono_div(b, a) is None
+    guard = _guards(2, 32)
+    assert m - b == a and not (m - b) & guard
+    assert (b - a) & guard
     x, _ = R.gens()
     fr = (x**3).frobenius(1)
     assert fr.total_degree() == Fraction(6)
@@ -74,14 +86,15 @@ def test_mono_ops():
 
 
 def test_mono_key_graded_lex():
+    # graded-lex order is integer order on packed keys
     R = ring2()
     x2 = (2, 0)
     xy = (1, 1)
     y2 = (0, 2)
     y3 = (0, 3)
-    keys = sorted([x2, xy, y2, y3], key=mono_key, reverse=True)
-    assert keys == [y3, x2, xy, y2]
-    assert R.key((x2, 0)) == mono_key(x2)
+    keys = sorted((_pack(v, 32) for v in (x2, xy, y2, y3)), reverse=True)
+    assert [_unpack(k, 2, 32) for k in keys] == [y3, x2, xy, y2]
+    assert R.key((x2, 0)) == (2, x2)
     # keys of monomials written over different shifts compare exactly
     assert R.key(((3, 0), 2)) < R.key(((1, 0), 0)) < R.key(((5, 0), 2))
 
@@ -289,6 +302,30 @@ def test_term_limit_is_on_the_result_not_the_estimate():
         set_term_limit(saved)
 
 
+def test_term_limit_covers_division_and_substitution():
+    R = ring3()
+    x, y = R.gens()
+    U = universal_ring(field_spec(3), 2)
+    x1, x2 = U.gens()
+    wide = x1
+    for k in range(2, 13):
+        wide = wide + x1**k  # 12 terms
+    saved = get_term_limit()
+    try:
+        set_term_limit(10)
+        with pytest.raises(TermLimitExceeded):
+            exact_div(x**20 - y**20, x - y)  # 20 quotient terms
+        with pytest.raises(TermLimitExceeded):
+            evaluate_morphism(wide, [x, y])  # relabeling in place
+        with pytest.raises(TermLimitExceeded):
+            evaluate_morphism(wide, [y, x])  # relabeling
+        with pytest.raises(TermLimitExceeded):
+            evaluate_morphism(wide, [x, x + y])  # general substitution
+        assert exact_div(x**10 - y**10, x - y) == sum((x**k * y ** (9 - k) for k in range(10)), R.zero)
+    finally:
+        set_term_limit(saved)
+
+
 def test_unipoly_basics():
     R = ring2()
     x, y = R.gens()
@@ -387,7 +424,7 @@ def test_routes_to_one_value_agree_and_hash_alike(ftext, data, i):
         assert left.has_fractional_exponents() == right.has_fractional_exponents()
     # a monomial finds its coefficient at whatever shift it is written
     fa = a.frobenius(-i)
-    for m, c in a.terms.items():
+    for m, c in vectors(a).items():
         assert fa.coeff_of((m, i)) == c
         assert fa.coeff_of((tuple(e * q for e in m), i + 1)) == c
     if fa.terms:
@@ -410,7 +447,7 @@ def to_sympy(p, gens):
     """p as a sympy polynomial over F_p (prime fields, integer exponents)."""
     spec = p.ring.spec
     return sympy.Poly.from_dict(
-        {m: c.coords[0] for m, c in p.terms.items()} or {(0,) * len(gens): 0},
+        {m: c.coords[0] for m, c in vectors(p).items()} or {(0,) * len(gens): 0},
         *gens, modulus=spec.p,
     )
 
@@ -454,3 +491,185 @@ def test_evaluate_morphism_fractional_images():
     got = evaluate_morphism(x1**2 * x2 + 2 * x1**3 + x2, [r, x + y])
     assert got == r * r * (x + y) + 2 * x + x + y
     assert str(got) == "x^5/3 + x^2/3*y + y"
+
+
+# Packed keys against the tuple-vector loops they replaced --------------------
+
+def ref_poly(ring, vterms, d):
+    """The Poly with true exponents vector / q^d: shift minimized on the
+    vectors, then packed at the width of the largest degree."""
+    q = ring.spec.q
+    f = 1
+    while d and not any(e % (f * q) for m in vterms for e in m):
+        f *= q
+        d -= 1
+    vterms = {tuple(e // f for e in m): c for m, c in vterms.items()}
+    if not vterms:
+        return ring.zero
+    w = _width(max(sum(m) for m in vterms))
+    return Poly(ring, {_pack(m, w): c for m, c in vterms.items()}, d, w)
+
+
+def ref_aligned(p, d):
+    f = p.ring.spec.q ** (d - p.shift)
+    return {tuple(e * f for e in m): c for m, c in vectors(p).items()}
+
+
+def ref_merge(out, m, c):
+    s = out.get(m, c.spec.zero) + c
+    if s.idx:
+        out[m] = s
+    else:
+        out.pop(m, None)
+
+
+def ref_add(a, b):
+    d = max(a.shift, b.shift)
+    out = ref_aligned(a, d)
+    for m, c in ref_aligned(b, d).items():
+        ref_merge(out, m, c)
+    return ref_poly(a.ring, out, d)
+
+
+def ref_mul(a, b):
+    d = max(a.shift, b.shift)
+    out = {}
+    for ma, ca in ref_aligned(a, d).items():
+        for mb, cb in ref_aligned(b, d).items():
+            ref_merge(out, tuple(map(add, ma, mb)), ca * cb)
+    return ref_poly(a.ring, out, d)
+
+
+def ref_exact_div(a, b):
+    """Repeated leading-term cancellation with (degree, vector) keys."""
+    d = max(a.shift, b.shift)
+    tb = ref_aligned(b, d)
+    mono_key = lambda m: (sum(m), m)
+    mb = max(tb, key=mono_key)
+    rem = ref_aligned(a, d)
+    out = {}
+    while rem:
+        mr = max(rem, key=mono_key)
+        mq = tuple(map(sub, mr, mb))
+        if min(mq) < 0:
+            raise NotDivisible(str(mr))
+        cq = rem[mr] / tb[mb]
+        out[mq] = cq
+        for m2, c2 in tb.items():
+            ref_merge(rem, tuple(map(add, mq, m2)), -(cq * c2))
+    return ref_poly(a.ring, out, d)
+
+
+def agree(packed, reference):
+    assert packed == reference
+    assert hash(packed) == hash(reference)
+    assert packed.width == reference.width
+    assert str(packed) == str(reference)
+
+
+# exponents just below and above the field-width boundaries
+EDGES = [0, 1, 2, 5, 2**31 - 2, 2**31 - 1, 2**31, 2**31 + 1, 2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1]
+
+
+@st.composite
+def edge_polys(draw, ring, max_terms=3):
+    """Polynomials whose exponents sit at the width boundaries, reached by
+    ** and by frobenius (q^k just below and above 2^31 and 2^63)."""
+    spec = ring.spec
+    q = spec.q
+    near = []
+    for bits in (31, 63):
+        k = 0
+        while q ** (k + 1) < 2**bits:
+            k += 1
+        near += [k, k + 1]
+    p = ring.zero
+    for _ in range(draw(st.integers(1, max_terms))):
+        m = ring.one
+        for g in ring.gens():
+            if draw(st.booleans()):
+                m = m * g ** draw(st.sampled_from(EDGES))
+            else:
+                m = m * g.frobenius(draw(st.sampled_from(near)))
+        p = p + m.scale(spec.elements[draw(st.integers(1, q - 1))])
+    return p
+
+
+@pytest.mark.parametrize("ftext", FIELDS)
+@given(data=st.data(), i=twists, j=twists)
+def test_packed_arithmetic_matches_tuple_loops(ftext, data, i, j):
+    R = field_ring(ftext)
+    a = data.draw(st.one_of(edge_polys(R), polys(R))).frobenius(-i)
+    b = data.draw(st.one_of(edge_polys(R), polys(R))).frobenius(-j)
+    c = data.draw(polys(R, max_exp=3))
+    agree(a + b, ref_add(a, b))
+    agree(a - b, ref_add(a, -b))
+    agree(a * b, ref_mul(a, b))
+    if not b.terms:
+        return
+    agree(exact_div(a * b, b), ref_exact_div(a * b, b))
+    # c has small exponents, so a failing division stops within a few steps
+    n = a * b + c
+    try:
+        want = ref_exact_div(n, b)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            exact_div(n, b)
+    else:
+        agree(exact_div(n, b), want)
+
+
+@pytest.mark.parametrize("ftext", FIELDS)
+@given(data=st.data())
+def test_leading_terms_cancel_back_below_a_boundary(ftext, data):
+    R = field_ring(ftext)
+    x, y = R.gens()
+    big = data.draw(st.sampled_from([2**31, 2**31 + 1, 2**63, 2**63 + 1]))
+    small = data.draw(polys(R))
+    a = x**big + small
+    assert a.width > 32
+    agree(a - x**big, ref_add(a, -(x**big)))
+    assert (a - x**big).width == 32
+    assert a - x**big == small and hash(a - x**big) == hash(small)
+    # the same through a product and a quotient
+    agree(exact_div(a * a, a), a)
+    agree((x**big).frobenius(-1) * (x**big).frobenius(-1), ref_mul((x**big).frobenius(-1), (x**big).frobenius(-1)))
+
+
+@pytest.mark.parametrize("ftext", FIELDS)
+def test_width_follows_the_degree(ftext):
+    R = field_ring(ftext)
+    x, y = R.gens()
+    for e, w in ((2**31 - 1, 32), (2**31, 64), (2**63 - 1, 64), (2**63, 96)):
+        p = x**e
+        assert p.width == w
+        assert p.total_degree() == e
+        assert p.leading_monomial() == ((e, 0), 0)
+        assert p.coeff_of(((e, 0), 0)).is_one()
+        assert (x ** (e - 1) * x) == p and (x ** (e - 1) * x).width == w
+        assert exact_div(p * y, y) == p
+        assert R.parse(str(p)) == p
+    # frobenius crosses a boundary by one multiplication of the keys
+    q = R.spec.q
+    k = 1
+    while q**k < 2**31:
+        k += 1
+    assert x.frobenius(k).width == 64 and x.frobenius(k - 1).width == 32
+    assert x.frobenius(k).frobenius(-1) == x.frobenius(k - 1)
+    assert x.frobenius(k).frobenius(-1).width == 32
+
+
+def test_only_a_lower_field_borrows():
+    # x*y^5 / x^2: the total degree fits, the x field borrows
+    R = ring3()
+    x, y = R.gens()
+    with pytest.raises(NotDivisible):
+        exact_div(x * y**5, x**2)
+    with pytest.raises(NotDivisible):
+        ref_exact_div(x * y**5, x**2)
+    with pytest.raises(NotDivisible):
+        exact_div(x**2 * y + y**5, x**2)
+    big = 2**40
+    with pytest.raises(NotDivisible):
+        exact_div(x * y**big, x**2)
+    assert exact_div(x**2 * y**big, x**2) == y**big

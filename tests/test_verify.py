@@ -158,14 +158,44 @@ def test_matrix_lemma_failures_render_both_sides(monkeypatch, identity):
         assert {(r.lhs, r.rhs) for r in reps} == {("1", "0")}
 
 
-@pytest.mark.parametrize("identity", ["gl-invariance", "pi-of-line", "division-round-trip"])
+@pytest.mark.parametrize("identity", ["gl-invariance", "pi-of-line", "division-round-trip",
+                                      "he-inverse", "h-factorization", "hook-step"])
 def test_failures_render_both_sides(monkeypatch, identity):
     """Corrupt one side of a check: the failing case prints both values,
     and they differ."""
-    from qschur import verify
+    from qschur import fmatrix, subspaces, verify
 
     spec, ctx, R, V = make(q=3)
-    if identity == "gl-invariance":
+    honest_window = fmatrix.window_product
+
+    def corrupt_window(a, b, lo, hi):
+        # one more than the true value in the top-left cell
+        w = honest_window(a, b, lo, hi)
+        rows = [list(row) for row in w.entries]
+        rows[0][0] = rows[0][0] + w.ring.one
+        return fmatrix.PolyMatrix(w.ring, rows)
+
+    if identity in ("he-inverse", "h-factorization"):
+        monkeypatch.setattr(fmatrix, "window_product", corrupt_window)
+        if identity == "he-inverse":
+            rep = check_he_inverse(ctx, V, -3, 3)
+            lo = -3
+        else:
+            rep = check_factorization(ctx, V, span(R, [R.gens()[0]]))
+            lo = -(V.dim + 3)
+        assert rep.status == "fail"
+        assert rep.lhs and rep.rhs and rep.lhs != rep.rhs, rep
+        # only the corrupted cell differs; each side gives its value there
+        cell, left = rep.lhs.split(": ")
+        cell2, right = rep.rhs.split(": ")
+        assert cell == cell2 == f"({lo},{lo})"
+        assert R.parse(left) == R.parse(right) + R.one
+        return
+    if identity == "hook-step":
+        honest_pi = subspaces.pi_product
+        monkeypatch.setattr(subspaces, "pi_product", lambda U: honest_pi(U) + U.ring.one)
+        reps = [check_hook_step(ctx, span(R, [R.gens()[0]]), 2)]
+    elif identity == "gl-invariance":
         honest_on_basis = ctx.schur_on_basis
         monkeypatch.setattr(ctx, "schur_on_basis",
                             lambda lam, vectors, ring: honest_on_basis(lam, vectors, ring) + ring.one)
