@@ -8,8 +8,12 @@ enumeration a deterministic order. The zero subspace has the empty basis.
 
 The additive annihilator of a subspace U is the univariate polynomial
 f_U(t), the product of (t + u) over all u in U; it is F_q-linear with
-t-exponents the powers q^i. Applying f_U to a basis of V >= U produces the
-internal quotient of V by U, again a subspace of the same ring.
+t-exponents the powers q^i. It is built one basis vector at a time by Ore's
+linearized recursion f_{U+<v>}(t) = f_U(t)^q - f_U(v)^(q-1) * f_U(t)
+(O. Ore, "On a special class of polynomials", Trans. AMS 35 (1933); D. Goss,
+Basic Structures of Function Field Arithmetic (1996), ch. 1). Applying f_U
+to a basis of V >= U produces the internal quotient of V by U, again a
+subspace of the same ring; each V remembers its quotients.
 """
 
 from __future__ import annotations
@@ -40,13 +44,15 @@ def _reduce(v: Poly, basis: list[Poly]) -> Poly:
 class Subspace:
     """Span of finitely many ring elements, held as a reduced echelon basis."""
 
-    __slots__ = ("ring", "basis", "_hash")
+    __slots__ = ("ring", "basis", "_hash", "_text", "_quotients")
 
     def __init__(self, ring: PolyRing, basis: tuple[Poly, ...]):
         # Trusted constructor; use span() to build from arbitrary vectors.
         self.ring = ring
         self.basis = basis
         self._hash = None
+        self._text = None
+        self._quotients = None  # U -> V // U, filled by internal_quotient
 
     @classmethod
     def span(cls, ring: PolyRing, vectors) -> "Subspace":
@@ -87,9 +93,10 @@ class Subspace:
 
     def describe(self) -> str:
         """Human-readable basis: vectors joined by "; ", "0" when trivial."""
-        if not self.basis:
-            return "0"
-        return "; ".join(str(b) for b in self.basis)
+        text = self._text
+        if text is None:
+            text = self._text = "; ".join(str(b) for b in self.basis) or "0"
+        return text
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
@@ -237,11 +244,23 @@ def pi_product(V: Subspace, ceiling: int | None = None) -> Poly:
 def additive_poly(U: Subspace, ceiling: int | None = None) -> UniPoly:
     """The annihilator f_U(t), the product of (t + u) over all u in U.
 
+    Built by Ore's recursion over the basis of U: with a_i the coefficient
+    of t^(q^i) in f_U and b = f_U(v) = sum a_i * v^(q^i), adjoining v gives
+    f(t)^q - b^(q-1) * f(t), whose coefficients are a_(i-1)^q - b^(q-1) * a_i.
+    The a_i lie over F_q, so a_i^q is a Frobenius twist (O. Ore, Trans. AMS
+    35 (1933); D. Goss, Basic Structures of Function Field Arithmetic, ch. 1).
     Always additive: every t-exponent is a power of q (asserted)."""
-    f = UniPoly.t(U.ring)
-    for u in enumerate_vectors(U, ceiling):
-        if u.terms:
-            f = f * UniPoly.t_plus(u)
+    q = U.ring.spec.q
+    _check_ceiling(q, U.dim, ceiling)
+    zero = U.ring.zero
+    a = [U.ring.one]
+    for v in U.basis:
+        b = zero
+        for i, ai in enumerate(a):
+            b = b + ai * v.frobenius(i)
+        c = b ** (q - 1)
+        a = [prev.frobenius(1) - c * cur for prev, cur in zip([zero] + a, a + [zero])]
+    f = UniPoly(U.ring, {q**i: ai for i, ai in enumerate(a) if ai.terms})
     if not f.is_q_poly():
         raise NotQPolynomial(f"annihilator has a non-q-power exponent: {f}")
     return f
@@ -251,10 +270,18 @@ def internal_quotient(V: Subspace, U: Subspace, ceiling: int | None = None) -> S
     """The image of V under the annihilator of U; requires U <= V.
 
     The result has dimension dim V - dim U; losing more is impossible over
-    an integral domain and raises DimensionDrop as an internal guard.
+    an integral domain and raises DimensionDrop as an internal guard. V
+    keeps every quotient it has formed; a repeated U still meets the
+    enumeration ceiling.
     """
     if U.ring != V.ring:
         raise RingMismatch("quotient of subspaces over different rings")
+    memo = V._quotients
+    if memo is not None:
+        Q = memo.get(U)
+        if Q is not None:
+            _check_ceiling(V.ring.spec.q, U.dim, ceiling)
+            return Q
     if not V.contains(U):
         raise NotSubspace(
             f"quotient denominator {U.describe()} is not contained in {V.describe()}"
@@ -266,6 +293,9 @@ def internal_quotient(V: Subspace, U: Subspace, ceiling: int | None = None) -> S
         raise DimensionDrop(
             f"quotient dimension {Q.dim}, expected {V.dim - U.dim}"
         )
+    if memo is None:
+        memo = V._quotients = {}
+    memo[U] = Q
     return Q
 
 
@@ -283,12 +313,16 @@ def coset_product_check(U: Subspace, Uprime: Subspace) -> bool:
     equals the product of the vectors of U outside U'."""
     if not U.contains(Uprime):
         raise NotSubspace("coset product check requires U' <= U")
-    lhs = pi_product(internal_quotient(U, Uprime))
+    return pi_product(internal_quotient(U, Uprime)) == coset_product(U, Uprime)
+
+
+def coset_product(U: Subspace, Uprime: Subspace) -> Poly:
+    """Product of the vectors of U outside U'."""
     rhs = U.ring.one
     for u in enumerate_vectors(U):
         if u.terms and not Uprime.contains_vector(u):
             rhs = rhs * u
-    return lhs == rhs
+    return rhs
 
 
 def enumerate_subspaces(V: Subspace, ceiling: int | None = None) -> list[Subspace]:

@@ -403,7 +403,10 @@ def check_matrix_lemmas(spec: FieldSpec, seed: int, trials: int = 50) -> list[Ca
 def check_quotient_tower(V: Subspace, U: Subspace, T: Subspace, q: int) -> CaseReport:
     t0 = time.perf_counter()
     ok = subspaces.quotient_tower_check(V, U, T)
-    rep = _case("quotient-tower", q, V, (), (), t0, ok, "one-step", "two-step")
+    quot = subspaces.internal_quotient
+    rep = _case("quotient-tower", q, V, (), (), t0, ok,
+                lambda: quot(V, U).describe(),
+                lambda: quot(quot(V, T), quot(U, T)).describe())
     rep.basis = f"{V.describe()} / {U.describe()} / {T.describe()}"
     return rep
 
@@ -411,7 +414,9 @@ def check_quotient_tower(V: Subspace, U: Subspace, T: Subspace, q: int) -> CaseR
 def check_coset_product(U: Subspace, Uprime: Subspace, q: int) -> CaseReport:
     t0 = time.perf_counter()
     ok = subspaces.coset_product_check(U, Uprime)
-    rep = _case("coset-product", q, U, (), (), t0, ok, "pi of quotient", "coset product")
+    rep = _case("coset-product", q, U, (), (), t0, ok,
+                lambda: str(subspaces.pi_product(subspaces.internal_quotient(U, Uprime))),
+                lambda: str(subspaces.coset_product(U, Uprime)))
     rep.basis = f"{U.describe()} / {Uprime.describe()}"
     return rep
 

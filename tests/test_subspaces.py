@@ -1,14 +1,16 @@
 """Subspaces over F_q inside a polynomial ring: spans, quotients, products."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qschur.errors import (
     EnumerationTooLarge,
     NotSubspace,
     RingMismatch,
 )
-from qschur.gf import field_spec
-from qschur.ppoly import ambient_ring
+from qschur.gf import field_spec, parse_field_spec
+from qschur.ppoly import UniPoly, ambient_ring
 from qschur.subspaces import (
     DEFAULT_ENUMERATION_CEILING,
     Flag,
@@ -227,3 +229,156 @@ def test_subspace_hash_and_eq():
     assert a != span(R, [x, z])
     d = {a: "V"}
     assert d[b] == "V"
+
+
+# The linearized annihilator ---------------------------------------------------
+
+
+def product_annihilator(U):
+    """Reference f_U: the product of (t + u) over all q^dim vectors of U."""
+    f = UniPoly.t(U.ring)
+    for u in enumerate_vectors(U):
+        if u.terms:
+            f = f * UniPoly.t_plus(u)
+    return f
+
+
+@st.composite
+def dense_vectors(draw, ring, count, max_exp):
+    """`count` random polynomials of up to three terms in every variable."""
+    spec = ring.spec
+    out = []
+    for _ in range(count):
+        p = ring.zero
+        for _ in range(draw(st.integers(1, 3))):
+            m = ring.one
+            for g in ring.gens():
+                m = m * g ** draw(st.integers(0, max_exp))
+            p = p + m.scale(spec.elements[draw(st.integers(1, spec.q - 1))])
+        out.append(p)
+    return out
+
+
+@st.composite
+def subspaces_of(draw, ring):
+    """A subspace with a dense basis, a basis taken from an internal
+    quotient, or a basis with a fractional exponent.
+
+    The reference product has q^dim factors whose degrees add up, so the
+    dimension stops at 3 for q <= 3 and at 2 for q = 4, dense vectors have
+    degree <= 4 (<= 2 at q = 4), and a quotient is taken of vectors of
+    degree <= 2."""
+    small = ring.spec.q <= 3
+    kind = draw(st.sampled_from(["dense", "quotient", "fractional"]))
+    dim = draw(st.integers(0, 3 if small else 2))
+    if kind == "quotient":
+        # the quotient of a (dim+1)-space by a line has dimension dim
+        vectors = draw(dense_vectors(ring, dim + 1, 1))
+        V = span(ring, vectors)
+        Q = internal_quotient(V, span(ring, vectors[:1]))
+        return span(ring, Q.basis[:dim])
+    vectors = draw(dense_vectors(ring, dim, 2 if small else 1))
+    if kind == "fractional" and vectors:
+        vectors[0] = vectors[0].frobenius(-1) + ring.gens()[0]
+    return span(ring, vectors)
+
+
+ANNIHILATOR_FIELDS = ["q=2", "q=3", "q=2^2"]
+
+
+@pytest.mark.parametrize("ftext", ANNIHILATOR_FIELDS)
+@given(data=st.data())
+def test_recursive_annihilator_matches_product(ftext, data):
+    R = ambient_ring(parse_field_spec(ftext), 2)
+    U = data.draw(subspaces_of(R))
+    f = additive_poly(U)
+    ref = product_annihilator(U)
+    assert f == ref
+    assert str(f) == str(ref)
+
+
+@pytest.mark.parametrize("basis", ["x*y + [1,1]; x + [1,1]; y + [0,1]",
+                                   "x^1/4*y + x; y^2 + [0,1]*x; 1"])
+def test_recursive_annihilator_matches_product_at_dim_3_over_f4(basis):
+    # one product of 64 factors per basis; the property above stops at dim 2 here
+    R = ambient_ring(parse_field_spec("q=2^2"), 2)
+    U = span(R, [R.parse(v) for v in basis.split("; ")])
+    assert U.dim == 3
+    f = additive_poly(U)
+    ref = product_annihilator(U)
+    assert f == ref
+    assert str(f) == str(ref)
+
+
+@pytest.mark.parametrize("ftext", ANNIHILATOR_FIELDS)
+@given(data=st.data())
+def test_annihilator_is_monic_and_vanishes_on_the_space(ftext, data):
+    R = ambient_ring(parse_field_spec(ftext), 2)
+    U = data.draw(subspaces_of(R))
+    f = additive_poly(U)
+    q = R.spec.q
+    assert f.t_degree() == q**U.dim
+    assert f.coefficient(q**U.dim).is_one()
+    assert f.is_q_poly()
+    for u in enumerate_vectors(U):
+        assert f.apply(u).is_zero()
+
+
+def test_annihilator_keeps_the_ceiling():
+    R = setup_ring(q=2, n=3)
+    U = span(R, R.gens())
+    with pytest.raises(EnumerationTooLarge):
+        additive_poly(U, ceiling=7)
+    assert additive_poly(U, ceiling=8).t_degree() == 8
+
+
+# Remembered quotients ---------------------------------------------------------
+
+
+def test_repeated_quotients_agree():
+    R = setup_ring(q=3, n=3)
+    x, y, z = R.gens()
+    V = span(R, [x, y + z * z, z])
+    first = {U: internal_quotient(V, U) for U in enumerate_subspaces(V)}
+    for U, Q in first.items():
+        # an equal denominator built afresh finds the remembered quotient
+        assert internal_quotient(V, span(R, list(U.basis))) is Q
+        # a fresh copy of V holds no quotients and forms this one anew
+        assert internal_quotient(span(R, list(V.basis)), U) == Q
+
+
+def test_remembered_quotient_still_meets_the_ceiling():
+    R = setup_ring(q=2, n=3)
+    x, y, z = R.gens()
+    V = span(R, [x, y, z])
+    U = span(R, [x, y])
+    Q = internal_quotient(V, U)
+    with pytest.raises(EnumerationTooLarge):
+        internal_quotient(V, U, ceiling=3)
+    assert internal_quotient(V, U, ceiling=4) is Q
+
+
+def test_remembered_quotients_do_not_admit_outside_spaces():
+    R = setup_ring(q=2, n=3)
+    x, y, z = R.gens()
+    V = span(R, [x, y])
+    for U in enumerate_subspaces(V):
+        internal_quotient(V, U)
+    with pytest.raises(NotSubspace):
+        internal_quotient(V, span(R, [z]))
+    with pytest.raises(NotSubspace):
+        internal_quotient(V, span(R, [x, z]))
+    other = setup_ring(q=3, n=3)
+    with pytest.raises(RingMismatch):
+        internal_quotient(V, span(other, [other.gens()[0]]))
+
+
+def test_describe_is_cached_text():
+    R = setup_ring(q=3, n=2)
+    x, y = R.gens()
+    V = span(R, [x + y * y, y])
+    text = V.describe()
+    assert text == "y^2 + x; y" == "; ".join(str(b) for b in V.basis)
+    assert V.describe() is text
+    assert repr(V) == f"Subspace({text})"
+    assert Subspace.zero(R).describe() == "0"

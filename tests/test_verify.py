@@ -159,7 +159,8 @@ def test_matrix_lemma_failures_render_both_sides(monkeypatch, identity):
 
 
 @pytest.mark.parametrize("identity", ["gl-invariance", "pi-of-line", "division-round-trip",
-                                      "he-inverse", "h-factorization", "hook-step"])
+                                      "he-inverse", "h-factorization", "hook-step",
+                                      "quotient-tower", "coset-product"])
 def test_failures_render_both_sides(monkeypatch, identity):
     """Corrupt one side of a check: the failing case prints both values,
     and they differ."""
@@ -191,6 +192,26 @@ def test_failures_render_both_sides(monkeypatch, identity):
         assert cell == cell2 == f"({lo},{lo})"
         assert R.parse(left) == R.parse(right) + R.one
         return
+    if identity == "quotient-tower":
+        # the direct quotient gains the constant 1; the corruption sits in
+        # internal_quotient itself, so no remembered quotient can hide it
+        U, T = span(R, [R.gens()[0]]), Subspace.zero(R)
+        honest_quot = subspaces.internal_quotient
+
+        def corrupt_quot(A, B, ceiling=None):
+            Q = honest_quot(A, B, ceiling)
+            if A is V and B is U:
+                return span(R, list(Q.basis) + [R.one])
+            return Q
+
+        honest_quot(V, U)  # V already holds the honest quotient
+        monkeypatch.setattr(subspaces, "internal_quotient", corrupt_quot)
+        rep = check_quotient_tower(V, U, T, 3)
+        assert rep.status == "fail"
+        assert rep.lhs and rep.rhs and rep.lhs != rep.rhs, rep
+        assert rep.lhs == span(R, list(honest_quot(V, U).basis) + [R.one]).describe()
+        assert rep.rhs == honest_quot(V, U).describe()
+        return
     if identity == "hook-step":
         honest_pi = subspaces.pi_product
         monkeypatch.setattr(subspaces, "pi_product", lambda U: honest_pi(U) + U.ring.one)
@@ -200,6 +221,10 @@ def test_failures_render_both_sides(monkeypatch, identity):
         monkeypatch.setattr(ctx, "schur_on_basis",
                             lambda lam, vectors, ring: honest_on_basis(lam, vectors, ring) + ring.one)
         reps = [check_gl_invariance(ctx, (1,), V, seed=0)]
+    elif identity == "coset-product":
+        honest_pi = subspaces.pi_product
+        monkeypatch.setattr(subspaces, "pi_product", lambda U: honest_pi(U) + U.ring.one)
+        reps = [check_coset_product(V, span(R, [R.gens()[0]]), 3)]
     elif identity == "pi-of-line":
         honest_pi = verify.pi_product
         monkeypatch.setattr(verify, "pi_product", lambda U: honest_pi(U) + U.ring.one)
