@@ -7,6 +7,7 @@ of staircase addition) are plain tuples of nonnegative integers.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 
 from .errors import (
@@ -137,9 +138,26 @@ def perm_witness(alpha, beta, sigma) -> int | None:
     n = len(alpha)
     if len(beta) != n or len(sigma) != n:
         raise HypothesisViolated("alpha, beta, sigma must have one common length")
-    if sorted(sigma) != list(range(n)):
+    identity = tuple(range(n))
+    if tuple(sorted(sigma)) != identity:
         raise HypothesisViolated(f"{sigma} is not a permutation of 0..{n - 1}")
-    for i in range(1, n):
+    _check_witness_pair(alpha, beta)
+    if sigma == identity:
+        return None
+    for i in range(n):
+        if alpha[i] - beta[sigma[i]] not in (0, 1):
+            return i
+    raise AssertionError("non-identity permutation without a witness")
+
+
+@lru_cache(maxsize=1)
+def _check_witness_pair(alpha: tuple, beta: tuple) -> None:
+    """The (alpha, beta) hypotheses of perm_witness, checked once per pair:
+    a search runs every permutation against one pair back to back, so one
+    slot suffices; more slots only pin memory. A violation raises, and
+    lru_cache never stores a raised call, so a bad pair raises again on
+    every call."""
+    for i in range(1, len(alpha)):
         if alpha[i - 1] <= alpha[i] or beta[i - 1] <= beta[i]:
             raise HypothesisViolated("alpha and beta must be strictly decreasing")
     for a, b in zip(alpha, beta):
@@ -147,12 +165,6 @@ def perm_witness(alpha, beta, sigma) -> int | None:
             raise HypothesisViolated(
                 f"alpha - beta must lie in {{0, 1}} everywhere, got {a - b}"
             )
-    if sigma == tuple(range(n)):
-        return None
-    for i in range(n):
-        if alpha[i] - beta[sigma[i]] not in (0, 1):
-            return i
-    raise AssertionError("non-identity permutation without a witness")
 
 
 def partitions_up_to_weight(max_weight: int, max_length: int | None = None) -> list[Partition]:

@@ -457,7 +457,10 @@ def check_elementary_lemmas(spec: FieldSpec, n: int, seed: int = 0, trials: int 
     """The small arithmetic facts, at dimension n.
 
     Per-field facts (power sums, the permutation-witness search) are only
-    emitted at n = 1 so a sweep does not repeat them per dimension.
+    emitted at n = 1 so a sweep does not repeat them per dimension. The
+    permutation-witness search does not depend on the field at all: it runs
+    once per process, and later fields report the same cases with millis
+    about 0 (see _check_perm_witness).
     """
     rng = random.Random(f"elementary:{spec.to_text()}:{n}:{seed}")
     q = spec.q
@@ -468,8 +471,11 @@ def check_elementary_lemmas(spec: FieldSpec, n: int, seed: int = 0, trials: int 
     if n == 1:
         t0 = time.perf_counter()
         bad_i = next((i for i in range(q - 1) if not power_sum(spec, i).is_zero()), None)
-        reports.append(_case("power-sum-zero", q, 1, (), (), t0, bad_i is None,
-                             f"sum of {bad_i}-th powers" if bad_i is not None else "0", "0"))
+        rep = _case("power-sum-zero", q, 1, (), (), t0, bad_i is None,
+                    lambda: str(power_sum(spec, bad_i)), "0")
+        if bad_i is not None:
+            rep.basis = f"i={bad_i}"
+        reports.append(rep)
         reports.extend(_check_perm_witness(q))
 
     if n >= 1:
@@ -507,8 +513,7 @@ def check_elementary_lemmas(spec: FieldSpec, n: int, seed: int = 0, trials: int 
 
     if n >= 2:
         t0 = time.perf_counter()
-        ok = True
-        bad = ""
+        bad = None
         vectors = [w for w in enumerate_vectors(V) if w.terms]
         for k in range(1, n):
             for a in combinations_with_replacement(range(4), k):
@@ -517,12 +522,15 @@ def check_elementary_lemmas(spec: FieldSpec, n: int, seed: int = 0, trials: int 
                 for w in vectors:
                     total = total + w**e
                 if not total.is_zero():
-                    ok = False
-                    bad = f"k={k} a={a}: " + str(total)
+                    bad = (k, a)
                     break
-            if not ok:
+            if bad:
                 break
-        reports.append(_case("vector-power-sum", q, V, (), (), t0, ok, bad or "sum", "0"))
+        rep = _case("vector-power-sum", q, V, (), (), t0, bad is None,
+                    lambda: str(total), "0")
+        if bad:
+            rep.basis += " k={} a={}".format(*bad)
+        reports.append(rep)
 
     if 1 <= n <= 3:
         t0 = time.perf_counter()
@@ -562,33 +570,47 @@ def _random_exponents(rng: random.Random, n: int, total_max: int) -> tuple[int, 
     return tuple(exps)
 
 
+@functools.cache
+def _perm_witness_search(witness, size: int):
+    """Exhaustive witness search at one size over a fixed entry window: for
+    strictly decreasing alpha, beta with alpha - beta in {0, 1} slotwise and
+    any non-identity permutation sigma, witness(alpha, beta, sigma) must name
+    a position where alpha_i - beta_sigma(i) falls outside {0, 1}.
+
+    Returns None, or the first triple where it does not, as (alpha, beta,
+    sigma, returned). The grid does not depend on q, so the search runs once
+    per process for each witness function and size; a replaced witness
+    function is a new key and gets a search of its own.
+    """
+    perms = [s for s in partitions.all_permutations(size) if s != tuple(range(size))]
+    for beta in combinations(range(3, -4, -1), size):
+        for bits in product((0, 1), repeat=size):
+            alpha = tuple(b + d for b, d in zip(beta, bits))
+            if any(alpha[i - 1] <= alpha[i] for i in range(1, size)):
+                continue
+            for sigma in perms:
+                i = witness(alpha, beta, sigma)
+                if i is None or alpha[i] - beta[sigma[i]] in (0, 1):
+                    return alpha, beta, sigma, i
+    return None
+
+
 def _check_perm_witness(q: int) -> list[CaseReport]:
-    """Exhaustive witness search for sizes up to 6 over a fixed entry window:
-    for strictly decreasing alpha, beta with alpha - beta in {0, 1} slotwise
-    and any non-identity permutation, some position falls outside {0, 1}."""
+    """One perm-witness report per size 1..6, for field size q.
+
+    The search (_perm_witness_search) is keyed by the perm_witness function
+    in use when this runs, so every field gets the same cases; after the
+    first field the search is remembered and millis is about 0. A failing
+    case names the triple and what perm_witness returned.
+    """
+    witness = partitions.perm_witness
     reports = []
     for size in range(1, 7):
         t0 = time.perf_counter()
-        ok = True
-        bad = ""
-        perms = [s for s in partitions.all_permutations(size) if s != tuple(range(size))]
-        for beta in combinations(range(3, -4, -1), size):
-            for bits in product((0, 1), repeat=size):
-                alpha = tuple(b + d for b, d in zip(beta, bits))
-                if any(alpha[i - 1] <= alpha[i] for i in range(1, size)):
-                    continue
-                for sigma in perms:
-                    i = partitions.perm_witness(alpha, beta, sigma)
-                    if i is None or alpha[i] - beta[sigma[i]] in (0, 1):
-                        ok = False
-                        bad = f"alpha={alpha} beta={beta} sigma={sigma}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        reports.append(_case("perm-witness", q, size, (), (), t0, ok,
-                             bad or "witness", "outside {0,1}"))
+        bad = _perm_witness_search(witness, size)
+        reports.append(_case("perm-witness", q, size, (), (), t0, bad is None,
+                             lambda bad=bad: "perm_witness({}, {}, {}) = {}".format(*bad),
+                             "alpha_i - beta_sigma(i) outside {0, 1}"))
     return reports
 
 
@@ -850,6 +872,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
     for ftext in cfg.fields:
         spec = parse_field_spec(ftext)
         q = spec.q
+        first = len(reports)
         ctx = SchurContext(spec)
         ring = ambient_ring(spec, max(cfg.max_dim, 1))
         for n in dims:
@@ -931,6 +954,10 @@ def run_sweep(cfg: SweepConfig) -> dict:
             U = span(ring, [ring.gen(0)])
             reports.append(check_coproduct_truncation(ctx, (2,), (), (1, 1), V, U))
             reports.append(check_coproduct_truncation(ctx, (1,), (1,), (), V, U))
+        if spec.e > 1:
+            # q alone does not tell two moduli of one field size apart
+            for rep in reports[first:]:
+                rep.basis = f"{spec.to_text()} {rep.basis}".rstrip()
 
     reports.sort(key=CaseReport.sort_key)
     passed = sum(1 for r in reports if r.status == "pass")

@@ -260,3 +260,27 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "error: internal error: KeyError: 2\n"
+
+
+def test_verify_reports_tell_extension_moduli_apart(capsys):
+    # two moduli of F_8: q alone cannot tell their cases apart, basis does
+    code, out, _ = run(capsys, "verify", "--field", "q=2^3:1,0,1,1,q=2^3:1,1,0,1",
+                       "--identity", "power-sum-zero", "--dim", "1..1",
+                       "--format", "json")
+    assert code == 0
+    cases = json.loads(out)["cases"]
+    assert [(c["q"], c["basis"]) for c in cases] == [
+        (8, "q=2^3:1,0,1,1"), (8, "q=2^3:1,1,0,1")]
+    for c in cases:
+        assert set(c) == {"identity", "q", "n", "lambda", "mu", "basis",
+                          "status", "lhs", "rhs", "millis"}
+    # a nonempty basis keeps its text after the field
+    code, out, _ = run(capsys, "verify", "--field", "q=2^2", "--identity",
+                       "quotient-tower", "--dim", "1..1", "--format", "json")
+    assert [c["basis"] for c in json.loads(out)["cases"]] == [
+        "q=2^2:1,1,1 x / 0 / 0", "q=2^2:1,1,1 x / x / 0", "q=2^2:1,1,1 x / x / x"]
+    # prime fields keep the bare basis
+    code, out, _ = run(capsys, "verify", "--field", "q=2", "--identity",
+                       "quotient-tower", "--dim", "1..1", "--format", "json")
+    assert [c["basis"] for c in json.loads(out)["cases"]] == [
+        "x / 0 / 0", "x / x / 0", "x / x / x"]

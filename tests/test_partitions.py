@@ -1,6 +1,8 @@
 """Partition combinatorics: containment, strips, staircases, witnesses."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschur.errors import (
     HypothesisViolated,
@@ -157,3 +159,97 @@ def test_perm_witness_rejects_bad_input():
 def test_all_permutations_count():
     assert len(list(all_permutations(4))) == 24
     assert list(all_permutations(0)) == [()]
+
+
+def ref_perm_witness(alpha, beta, sigma):
+    """perm_witness as it was before its (alpha, beta) checks were
+    remembered per pair: every hypothesis checked on every call."""
+    alpha = tuple(alpha)
+    beta = tuple(beta)
+    sigma = tuple(sigma)
+    n = len(alpha)
+    if len(beta) != n or len(sigma) != n:
+        raise HypothesisViolated("alpha, beta, sigma must have one common length")
+    if sorted(sigma) != list(range(n)):
+        raise HypothesisViolated(f"{sigma} is not a permutation of 0..{n - 1}")
+    for i in range(1, n):
+        if alpha[i - 1] <= alpha[i] or beta[i - 1] <= beta[i]:
+            raise HypothesisViolated("alpha and beta must be strictly decreasing")
+    for a, b in zip(alpha, beta):
+        if a - b not in (0, 1):
+            raise HypothesisViolated(
+                f"alpha - beta must lie in {{0, 1}} everywhere, got {a - b}"
+            )
+    if sigma == tuple(range(n)):
+        return None
+    for i in range(n):
+        if alpha[i] - beta[sigma[i]] not in (0, 1):
+            return i
+    raise AssertionError("non-identity permutation without a witness")
+
+
+def outcome(fn, *args):
+    """The return value, or the exception's type and message."""
+    try:
+        return ("returned", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return (type(exc), str(exc))
+
+
+@st.composite
+def witness_triples(draw):
+    """Valid triples, and triples broken in any combination of ways: a
+    wrong length, a non-permutation, a non-decreasing alpha or beta, a
+    difference outside {0, 1}; as tuples or lists."""
+    n = draw(st.integers(0, 5))
+    beta = sorted(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n,
+                                unique=True)), reverse=True)
+    alpha = [b + draw(st.integers(0, 1)) for b in beta]
+    sigma = list(draw(st.permutations(range(n))))
+    index = st.integers(0, max(n - 1, 0))
+    if n and draw(st.booleans()):  # not a permutation
+        sigma[draw(index)] = draw(st.sampled_from([-1, n, sigma[0], sigma[-1]]))
+    if n >= 2 and draw(st.booleans()):  # not strictly decreasing
+        which = draw(st.sampled_from([alpha, beta]))
+        i = draw(st.integers(0, n - 2))
+        which[i], which[i + 1] = which[i + 1], which[i]
+    if n and draw(st.booleans()):  # a difference outside {0, 1}
+        alpha[draw(index)] += draw(st.sampled_from([-1, 2]))
+    if draw(st.sampled_from([False, False, False, True])):  # lengths disagree
+        which = draw(st.sampled_from([alpha, beta, sigma]))
+        if which and draw(st.booleans()):
+            which.pop()
+        else:
+            which.append(0)
+    as_tuple = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    return tuple(tuple(v) if t else v for v, t in zip((alpha, beta, sigma), as_tuple))
+
+
+@settings(max_examples=400)
+@given(witness_triples())
+def test_perm_witness_matches_reference(triple):
+    want = outcome(ref_perm_witness, *triple)
+    # repeated calls: a remembered pair check must neither hide a violation
+    # nor change the answer
+    for _ in range(3):
+        assert outcome(perm_witness, *triple) == want
+
+
+def test_perm_witness_keeps_check_order_for_a_remembered_pair():
+    with pytest.raises(HypothesisViolated, match="not a permutation"):
+        perm_witness((1, 2), (0, 1), (0, 0))  # bad pair and bad sigma
+    alpha, beta = (3, 1), (2, 1)
+    assert perm_witness(alpha, beta, (1, 0)) is not None  # pair now remembered
+    with pytest.raises(HypothesisViolated, match="common length"):
+        perm_witness(alpha, beta, (0, 1, 2))
+    with pytest.raises(HypothesisViolated, match="not a permutation"):
+        perm_witness(alpha, beta, (1, 1))
+    assert perm_witness(list(alpha), list(beta), [0, 1]) is None
+
+
+def test_perm_witness_bad_pair_raises_every_time():
+    for sigma in [(0, 1), (1, 0), (0, 1), (1, 0)]:
+        with pytest.raises(HypothesisViolated, match="strictly decreasing"):
+            perm_witness((1, 2), (0, 1), sigma)
+        with pytest.raises(HypothesisViolated, match="got 2"):
+            perm_witness((4, 1), (2, 1), sigma)

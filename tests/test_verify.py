@@ -160,13 +160,28 @@ def test_matrix_lemma_failures_render_both_sides(monkeypatch, identity):
 
 @pytest.mark.parametrize("identity", ["gl-invariance", "pi-of-line", "division-round-trip",
                                       "he-inverse", "h-factorization", "hook-step",
-                                      "quotient-tower", "coset-product"])
+                                      "quotient-tower", "coset-product", "power-sum-zero",
+                                      "vector-power-sum", "perm-witness"])
 def test_failures_render_both_sides(monkeypatch, identity):
     """Corrupt one side of a check: the failing case prints both values,
     and they differ."""
-    from qschur import fmatrix, subspaces, verify
+    from qschur import fmatrix, partitions, subspaces, verify
 
     spec, ctx, R, V = make(q=3)
+    if identity == "perm-witness":
+        # the honest search is remembered first; a corrupted witness is a
+        # new function, so the memo cannot hide it
+        assert all(r.status == "pass" for r in verify._check_perm_witness(2))
+        honest_witness = partitions.perm_witness
+        monkeypatch.setattr(partitions, "perm_witness",
+                            lambda a, b, s: None if s == (1, 0) else honest_witness(a, b, s))
+        reps = [r for r in check_elementary_lemmas(spec, 1, seed=0, trials=2)
+                if r.identity == identity]
+        assert [(r.n, r.status) for r in reps] == [
+            (1, "pass"), (2, "fail"), (3, "pass"), (4, "pass"), (5, "pass"), (6, "pass")]
+        assert reps[1].lhs == "perm_witness((3, 2), (3, 2), (1, 0)) = None"
+        assert reps[1].rhs == "alpha_i - beta_sigma(i) outside {0, 1}"
+        return
     honest_window = fmatrix.window_product
 
     def corrupt_window(a, b, lo, hi):
@@ -225,6 +240,16 @@ def test_failures_render_both_sides(monkeypatch, identity):
         honest_pi = subspaces.pi_product
         monkeypatch.setattr(subspaces, "pi_product", lambda U: honest_pi(U) + U.ring.one)
         reps = [check_coset_product(V, span(R, [R.gens()[0]]), 3)]
+    elif identity == "power-sum-zero":
+        honest_power_sum = verify.power_sum
+        monkeypatch.setattr(verify, "power_sum",
+                            lambda spec, i: honest_power_sum(spec, i) + spec.one)
+        reps = check_elementary_lemmas(spec, 1, seed=0, trials=2)
+    elif identity == "vector-power-sum":
+        # leave one nonzero vector out of the sum
+        honest_vectors = verify.enumerate_vectors
+        monkeypatch.setattr(verify, "enumerate_vectors", lambda W: list(honest_vectors(W))[:-1])
+        reps = check_elementary_lemmas(spec, 2, seed=0, trials=2)
     elif identity == "pi-of-line":
         honest_pi = verify.pi_product
         monkeypatch.setattr(verify, "pi_product", lambda U: honest_pi(U) + U.ring.one)
@@ -239,6 +264,39 @@ def test_failures_render_both_sides(monkeypatch, identity):
     # the sides are values, not fixed words
     R.parse(rep.lhs)
     R.parse(rep.rhs)
+    if identity == "power-sum-zero":
+        assert (rep.basis, rep.rhs) == ("i=0", "0")
+    if identity == "vector-power-sum":
+        assert rep.basis == f"{V.describe()} k=1 a=(0,)" and rep.rhs == "0"
+
+
+def test_perm_witness_search_runs_once_per_process(monkeypatch):
+    """The q-independent witness search runs once for a witness function:
+    the second field makes no perm_witness call and gets the same cases."""
+    from qschur import partitions, verify
+
+    honest_witness = partitions.perm_witness
+    calls = 0
+
+    def counted(alpha, beta, sigma):
+        nonlocal calls
+        calls += 1
+        return honest_witness(alpha, beta, sigma)
+
+    monkeypatch.setattr(partitions, "perm_witness", counted)
+    first = verify._check_perm_witness(2)
+    assert calls == 99_152
+    second = verify._check_perm_witness(3)
+    assert calls == 99_152
+
+    def strip(reports):
+        return [{k: v for k, v in r.to_dict().items() if k not in ("q", "millis")}
+                for r in reports]
+
+    assert strip(first) == strip(second)
+    assert [r.n for r in first] == [1, 2, 3, 4, 5, 6]
+    assert {r.q for r in first} == {2} and {r.q for r in second} == {3}
+    assert all(r.status == "pass" for r in first)
 
 
 def test_mutation_is_caught():
