@@ -8,7 +8,9 @@ the diagonal, and that contract is asserted by sampling on every window a
 caller touches.
 
 Determinants are computed by cofactor expansion with memoized minors, which
-is exact and fast at the sizes used here (at most seven rows).
+is exact and fast at the sizes used here (at most seven rows). Each cofactor
+row sum, and each cell of a window product, is formed in one accumulator by
+ppoly.sum_of_products: its products are never built on their own.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     WindowInvalid,
 )
-from .ppoly import Poly, PolyRing
+from .ppoly import Poly, PolyRing, sum_of_products
 
 
 class PolyMatrix:
@@ -89,6 +91,7 @@ def det(m: PolyMatrix) -> Poly:
     if n == 0:
         return ring.one
     entries = m.entries
+    signs = (ring.spec.one, ring.spec.minus_one)
     memo: dict[tuple[int, tuple[int, ...]], Poly] = {}
 
     def minor(r: int, cols: tuple[int, ...]) -> Poly:
@@ -96,20 +99,15 @@ def det(m: PolyMatrix) -> Poly:
             return ring.one
         key = (r, cols)
         got = memo.get(key)
-        if got is not None:
-            return got
-        acc = ring.zero
-        for pos, c in enumerate(cols):
-            e = entries[r][c]
-            if not e.terms:
-                continue
-            sub = minor(r + 1, cols[:pos] + cols[pos + 1 :])
-            term = e * sub
-            if pos % 2:
-                term = -term
-            acc = acc + term
-        memo[key] = acc
-        return acc
+        if got is None:
+            triples = []
+            for pos, c in enumerate(cols):
+                e = entries[r][c]
+                if e.terms:
+                    sub = minor(r + 1, cols[:pos] + cols[pos + 1 :])
+                    triples.append((signs[pos % 2], e, sub))
+            got = memo[key] = sum_of_products(ring, triples)
+        return got
 
     return minor(0, tuple(range(n)))
 
@@ -160,28 +158,22 @@ def window_product(
         raise WindowInvalid("window product of arrays over different rings")
     a.audit_window(lo, hi)
     b.audit_window(lo, hi)
-    ring = a.ring
-    size = hi - lo + 1
-    rows = []
-    for i in range(lo, hi + 1):
-        row = []
-        for j in range(lo, hi + 1):
-            if i > j:
-                row.append(ring.zero)
-                continue
-            acc = ring.zero
-            for k in range(i, j + 1):
-                left = a.entry_fn(i, k)
-                if not left.terms:
-                    continue
-                right = b.entry_fn(k, j)
-                if not right.terms:
-                    continue
-                acc = acc + left * right
-            row.append(acc)
-        rows.append(row)
-    assert len(rows) == size
-    return PolyMatrix(ring, rows)
+    window = range(lo, hi + 1)
+    return PolyMatrix(a.ring, [[_product_entry(a, b, i, j) for j in window] for i in window])
+
+
+def _product_entry(a: TriangularZMatrix, b: TriangularZMatrix, i: int, j: int) -> Poly:
+    """Entry (i, j) of a*b for upper-triangular arrays: the sum over k in
+    [i, j] of a_ik * b_kj, zero when i > j. b_kj is not looked up when
+    a_ik vanishes."""
+    triples = []
+    for k in range(i, j + 1):
+        left = a.entry_fn(i, k)
+        if left.terms:
+            right = b.entry_fn(k, j)
+            if right.terms:
+                triples.append((1, left, right))
+    return sum_of_products(a.ring, triples)
 
 
 def window_of(m: TriangularZMatrix, lo: int, hi: int) -> PolyMatrix:
@@ -243,22 +235,7 @@ def cauchy_binet(
         a.audit_window(lo, hi)
         b.audit_window(lo, hi)
 
-    rows = []
-    for i in ii:
-        row = []
-        for j in jj:
-            acc = ring.zero
-            for k in range(i, j + 1):
-                left = a.entry_fn(i, k)
-                if not left.terms:
-                    continue
-                right = b.entry_fn(k, j)
-                if not right.terms:
-                    continue
-                acc = acc + left * right
-            row.append(acc)
-        rows.append(row)
-    direct = det(PolyMatrix(ring, rows))
+    direct = det(PolyMatrix(ring, [[_product_entry(a, b, i, j) for j in jj] for i in ii]))
 
     addends = []
 

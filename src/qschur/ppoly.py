@@ -31,9 +31,13 @@ guard bit, so exponents stay exact at any size. The shift is kept minimal
 degree, the representation is unique, and equality, hashing and printing
 compare keys directly. Frobenius twists move the shift and scale the keys
 only when the shift runs out; sums, products and quotients align two
-shifts, and re-pack at a new width, only when they differ. Outside this
+shifts, and re-pack at a new width, only when they differ. A sum of
+products (sum_of_products) aligns all its operands at once and adds every
+product into one accumulator, the loop that a single product runs too,
+so no product or partial sum of it is built as a Poly. Outside this
 module monomials are (vector, shift) pairs, passed from leading_monomial()
-to coeff_of() and PolyRing.key().
+to coeff_of() and PolyRing.key(); coeff_at_leading() looks one polynomial's
+leading monomial up in another and keeps it a key when it can.
 """
 
 from __future__ import annotations
@@ -57,8 +61,9 @@ _term_limit = DEFAULT_TERM_LIMIT
 
 
 def set_term_limit(limit: int) -> None:
-    """Set the global guard on term counts: a product, an exact quotient or
-    a substitution that would hold more terms raises TermLimitExceeded."""
+    """Set the global guard on term counts: a product or a running sum of
+    products, an exact quotient or a substitution that would hold more terms
+    raises TermLimitExceeded."""
     global _term_limit
     if limit < 1:
         raise ValueError("term limit must be positive")
@@ -284,6 +289,36 @@ def _aligned(p: "Poly", d: int, w: int) -> dict:
     return terms
 
 
+def _accumulate(out: dict, ta: dict, tb: dict, ci: int, spec: FieldSpec, what: str) -> None:
+    """Add c * a * b into out, a dict from keys to nonzero coefficient
+    indices: ta and tb are the terms of a and b, aligned to one shift and
+    one width, and ci is the index of c. A sum that cancels leaves no key
+    behind. Raises TermLimitExceeded once out holds more terms than the
+    limit after some term of a."""
+    limit = _term_limit
+    mul_t = spec.mul_table
+    add_t = spec.add_table
+    crow = mul_t[ci]
+    get = out.get
+    tb_items = [(mb, cb.idx) for mb, cb in tb.items()]
+    for ma, ca in ta.items():
+        mrow = mul_t[crow[ca.idx]]
+        for mb, cbi in tb_items:
+            m = ma + mb
+            t = mrow[cbi]  # nonzero: a field has no zero divisors
+            prev = get(m)
+            if prev is None:
+                out[m] = t
+            else:
+                s = add_t[prev][t]
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        if len(out) > limit:
+            raise _over_limit(what, len(out))
+
+
 class Poly:
     """Immutable sparse polynomial: terms maps monomial keys (exponent
     vectors packed at field width `width`) to nonzero coefficients; the true
@@ -394,31 +429,10 @@ class Poly:
         # degree, and with it its width, is known before it is formed
         w = _width(_top(self, d) + _top(other, d))
         ta, tb = _aligned(self, d, w), _aligned(other, d, w)
-        limit = _term_limit
         spec = self.ring.spec
-        mul_t = spec.mul_table
-        add_t = spec.add_table
         elems = spec.elements
-        # accumulate coefficient indices; nonzero products never hit index 0
         out: dict = {}
-        get = out.get
-        tb_items = [(mb, cb.idx) for mb, cb in tb.items()]
-        for ma, ca in ta.items():
-            mrow = mul_t[ca.idx]
-            for mb, cbi in tb_items:
-                m = ma + mb
-                ci = mrow[cbi]
-                prev = get(m)
-                if prev is None:
-                    out[m] = ci
-                else:
-                    s = add_t[prev][ci]
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-            if len(out) > limit:
-                raise _over_limit("product", len(out))
+        _accumulate(out, ta, tb, 1, spec, "product")
         # _top cached both leading keys; they add up when neither was re-keyed
         lead = None
         if ta is self.terms and tb is other.terms:
@@ -546,6 +560,14 @@ class Poly:
             k = (k << w) | e
         return self.terms.get(k, zero)
 
+    def coeff_at_leading(self, other: "Poly") -> FieldElement:
+        """Coefficient in self of the leading monomial of a nonzero other:
+        self.coeff_of(other.leading_monomial()), looked up by key when both
+        are written over one shift at one width."""
+        if other.shift == self.shift and other.width == self.width:
+            return self.terms.get(other._leading(), self.ring.spec.zero)
+        return self.coeff_of(other.leading_monomial())
+
     def evaluate_points(self, values: list[FieldElement]) -> FieldElement:
         """Evaluate at field elements (one per ring variable); integer exponents only."""
         spec = self.ring.spec
@@ -602,6 +624,40 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self!s})"
+
+
+def sum_of_products(ring: PolyRing, triples: Iterable) -> Poly:
+    """The sum of c * a * b over (c, a, b) triples, where c is a field
+    element or an int and a, b are polynomials of ring.
+
+    Every product is written over the largest shift and at the largest
+    width any of them needs, and all of them are added term by term into
+    one accumulator of coefficient indices, so terms cancel in place and no
+    product or partial sum is ever formed as a Poly. The term limit bounds
+    that accumulator: a sum whose running total passes it raises
+    TermLimitExceeded even when each product would fit.
+    """
+    spec = ring.spec
+    live = []
+    for c, a, b in triples:
+        for p in (a, b):
+            if p.ring is not ring and p.ring != ring:
+                raise RingMismatch(f"operand in a different ring: {p.ring!r} vs {ring!r}")
+        if isinstance(c, int):
+            c = spec.element(c)
+        elif c.spec != spec:
+            raise RingMismatch("scalar from a different field")
+        if c.idx and a.terms and b.terms:
+            live.append((c.idx, a, b))
+    if not live:
+        return ring.zero
+    d = max(max(a.shift, b.shift) for _, a, b in live)
+    w = _width(max(_top(a, d) + _top(b, d) for _, a, b in live))
+    out: dict = {}
+    for ci, a, b in live:
+        _accumulate(out, _aligned(a, d, w), _aligned(b, d, w), ci, spec, "sum of products")
+    elems = spec.elements
+    return _poly(ring, dict(zip(out, map(elems.__getitem__, out.values()))), d, w)
 
 
 def _power_text(name: str, e: int, d: int, q: int) -> str:
@@ -940,27 +996,22 @@ class UniPoly:
             return NotImplemented
         if other.ring != self.ring:
             raise RingMismatch("univariate operands in different rings")
-        out: dict = {}
+        by_exp: dict = {}
         for ea, ca in self.coeffs.items():
             for eb, cb in other.coeffs.items():
-                e = ea + eb
-                prod = ca * cb
-                prev = out.get(e)
-                s = prod if prev is None else prev + prod
-                if s.terms:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
+                by_exp.setdefault(ea + eb, []).append((1, ca, cb))
+        out = {}
+        for e, triples in by_exp.items():
+            s = sum_of_products(self.ring, triples)
+            if s.terms:
+                out[e] = s
         return UniPoly(self.ring, out)
 
     def apply(self, v: Poly) -> Poly:
         """Evaluate at a polynomial argument."""
         if v.ring != self.ring:
             raise RingMismatch("argument in a different ring")
-        acc = self.ring.zero
-        for e, c in self.coeffs.items():
-            acc = acc + c * v**e
-        return acc
+        return sum_of_products(self.ring, [(1, c, v**e) for e, c in self.coeffs.items()])
 
     __call__ = apply
 

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .gf import FieldSpec
 from .partitions import Partition
-from .ppoly import Poly, PolyRing, evaluate_morphism, universal_ring
+from .ppoly import Poly, PolyRing, evaluate_morphism, sum_of_products, universal_ring
 from .ppoly import _variable_images
 from .subspaces import Subspace
 
@@ -191,12 +191,11 @@ class SchurContext:
             return evaluate_morphism(self.universal_schur(lam, n), list(V.basis))
         if len(lam) == 1:
             r = lam[0]
-            acc = V.ring.zero
-            for j in range(1, min(r, n) + 1):
-                ej = self.schur_S((1,) * j, V)
-                step = ej.frobenius(r - 1) * self.h_r(r - j, V)
-                acc = acc + step.scale(self.spec.sign(j + 1))
-            return acc
+            return sum_of_products(V.ring, [
+                (self.spec.sign(j + 1), self.schur_S((1,) * j, V).frobenius(r - 1),
+                 self.h_r(r - j, V))
+                for j in range(1, min(r, n) + 1)
+            ])
         return self._skew_entrywise(lam, (), V, len(lam))
 
     def h_r(self, r: int, V: Subspace) -> Poly:
@@ -376,15 +375,11 @@ class SchurContext:
         if not V.contains_vector(ell):
             raise NotSubspace("expansion direction must lie in V")
         spec = self.spec
-        q = spec.q
-        total = V.ring.zero
-        for nu in partitions.vertical_strip_subpartitions(lam):
-            e = partitions.q_exponent(lam, nu, n, q)
-            term = (ell**e * self.skew_S(nu, mu, V)).scale(
-                spec.sign(partitions.weight(lam) - partitions.weight(nu))
-            )
-            total = total + term
-        return total
+        return sum_of_products(V.ring, [
+            (spec.sign(partitions.weight(lam) - partitions.weight(nu)),
+             ell ** partitions.q_exponent(lam, nu, n, spec.q), self.skew_S(nu, mu, V))
+            for nu in partitions.vertical_strip_subpartitions(lam)
+        ])
 
     def fullhouse_reduce(self, lam: Partition, V: Subspace) -> Poly:
         """For a shape filling every row of V: S_lam(V) rewritten as

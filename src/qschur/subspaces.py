@@ -27,7 +27,7 @@ from .errors import (
     NotSubspace,
     RingMismatch,
 )
-from .ppoly import Poly, PolyRing, UniPoly
+from .ppoly import Poly, PolyRing, UniPoly, sum_of_products
 
 DEFAULT_ENUMERATION_CEILING = 243
 
@@ -35,7 +35,7 @@ DEFAULT_ENUMERATION_CEILING = 243
 def _reduce(v: Poly, basis: list[Poly]) -> Poly:
     """Eliminate every basis leading monomial from v (F_q-linear reduction)."""
     for b in basis:
-        c = v.coeff_of(b.leading_monomial())
+        c = v.coeff_at_leading(b)
         if c.idx:
             v = v - b.scale(c)
     return v
@@ -255,11 +255,11 @@ def additive_poly(U: Subspace, ceiling: int | None = None) -> UniPoly:
     zero = U.ring.zero
     a = [U.ring.one]
     for v in U.basis:
-        b = zero
-        for i, ai in enumerate(a):
-            b = b + ai * v.frobenius(i)
+        b = sum_of_products(U.ring, [(1, ai, v.frobenius(i)) for i, ai in enumerate(a)])
         c = b ** (q - 1)
-        a = [prev.frobenius(1) - c * cur for prev, cur in zip([zero] + a, a + [zero])]
+        # the new top coefficient a_(k-1)^q has no c * a_k part
+        top = a[-1].frobenius(1)
+        a = [prev.frobenius(1) - c * cur for prev, cur in zip([zero] + a, a)] + [top]
     f = UniPoly(U.ring, {q**i: ai for i, ai in enumerate(a) if ai.terms})
     if not f.is_q_poly():
         raise NotQPolynomial(f"annihilator has a non-q-power exponent: {f}")

@@ -213,6 +213,22 @@ def test_max_terms_bounds_quotients(capsys):
     assert out.count(" + ") == 1092
 
 
+def test_max_terms_bounds_fused_sums_of_products(capsys):
+    # on a basis of no bare variables, S_(2,1) is the twisted determinant
+    # over one-row values climbed by the window recursion; both are fused
+    # sums whose running totals pass 20 terms
+    before = get_term_limit()
+    argv = ("compute", "S", "--lambda", "2,1", "--field", "q=2", "--basis", "x^2+y;y^2+x")
+    code, out, err = run(capsys, *argv, "--max-terms", "20")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: sum of products holds") and "over the limit 20" in err
+    assert err.count("\n") == 1
+    assert get_term_limit() == before
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.count(" + ") == 45
+
+
 def test_field_list_with_modulus_commas(capsys):
     code, out, _ = run(capsys, "verify", "--identity", "power-sum-zero",
                        "--field", "q=2^2:1,1,1,q=3", "--dim", "1",

@@ -1,6 +1,7 @@
 """Polynomial core: sparse terms, q-local exponents, Frobenius, division."""
 
 from fractions import Fraction
+from itertools import permutations
 from operator import add, sub
 
 import pytest
@@ -15,6 +16,7 @@ from qschur.errors import (
     RingMismatch,
     TermLimitExceeded,
 )
+from qschur.fmatrix import PolyMatrix, det
 from qschur.gf import field_spec, parse_field_spec
 from qschur.ppoly import (
     Poly,
@@ -28,6 +30,7 @@ from qschur.ppoly import (
     exact_div,
     get_term_limit,
     set_term_limit,
+    sum_of_products,
     universal_ring,
 )
 from qschur.subspaces import span
@@ -286,6 +289,28 @@ def test_term_limit_guard():
     finally:
         set_term_limit(saved)
     assert len((dense * dense).terms) > 20
+
+
+def test_term_limit_bounds_a_running_sum_of_products():
+    # five products of five terms each, on disjoint monomials: every product
+    # fits under the limit, their running sum does not
+    R = ring3()
+    x, y = R.gens()
+    row = sum((y**k for k in range(5)), R.zero)
+    triples = [(1, x**i, row) for i in range(5)]
+    saved = get_term_limit()
+    try:
+        set_term_limit(10)
+        assert all(len((a * b).terms) <= 10 for _, a, b in triples)
+        with pytest.raises(TermLimitExceeded, match="sum of products holds 15 terms"):
+            sum_of_products(R, triples)
+        with pytest.raises(TermLimitExceeded, match="product holds"):
+            row * sum((x**k for k in range(5)), R.zero)
+        # a sum that cancels as it goes stays under the limit
+        assert sum_of_products(R, [(1, x, row), (-1, x, row), (1, y, row)]) == y * row
+    finally:
+        set_term_limit(saved)
+    assert len(sum_of_products(R, triples).terms) == 25
 
 
 def test_term_limit_is_on_the_result_not_the_estimate():
@@ -673,3 +698,103 @@ def test_only_a_lower_field_borrows():
     with pytest.raises(NotDivisible):
         exact_div(x * y**big, x**2)
     assert exact_div(x**2 * y**big, x**2) == y**big
+
+
+# The fused sum of products against the plain loop it replaces ---------------
+
+def naive_sum_of_products(ring, triples):
+    acc = ring.zero
+    for c, a, b in triples:
+        acc = acc + (a * b).scale(c)
+    return acc
+
+
+def agree_fully(fused, naive):
+    agree(fused, naive)
+    assert fused.shift == naive.shift
+
+
+@st.composite
+def product_triples(draw, ring, max_triples=4):
+    """Triples (c, a, b) with zero and nonzero scalars, zero operands, mixed
+    shifts and exponents at the width boundaries; some are followed by their
+    own negation, so the sum cancels fully or drops below a boundary."""
+    spec = ring.spec
+    operand = st.one_of(edge_polys(ring), polys(ring), st.just(ring.zero))
+    triples = []
+    for _ in range(draw(st.integers(0, max_triples))):
+        c = spec.elements[draw(st.integers(0, spec.q - 1))]
+        a = draw(operand).frobenius(-draw(twists))
+        b = draw(operand).frobenius(-draw(twists))
+        triples.append((c, a, b))
+        if draw(st.booleans()):
+            triples.append((-c, a, b))
+    return draw(st.permutations(triples))
+
+
+@pytest.mark.parametrize("ftext", FIELDS)
+@given(data=st.data())
+def test_sum_of_products_matches_the_plain_loop(ftext, data):
+    R = field_ring(ftext)
+    triples = data.draw(product_triples(R))
+    agree_fully(sum_of_products(R, triples), naive_sum_of_products(R, triples))
+
+
+@pytest.mark.parametrize("ftext", FIELDS)
+def test_sum_of_products_edge_cases(ftext):
+    R = field_ring(ftext)
+    x, y = R.gens()
+    assert sum_of_products(R, []) is R.zero
+    assert sum_of_products(R, [(1, R.zero, x), (0, x, y), (1, y, R.zero)]) == R.zero
+    # the wide terms cancel and the sum drops back below the 2^31 boundary
+    big = x ** (2**31) * y
+    triples = [(1, big, x.frobenius(-1)), (2, x, y), (-1, big, x.frobenius(-1))]
+    got = sum_of_products(R, triples)
+    agree_fully(got, naive_sum_of_products(R, triples))
+    assert got == (x * y).scale(2) and got.width == 32 and got.shift == 0
+    # fractional products that add up to integer exponents
+    r = x.frobenius(-1)
+    triples = [(1, r, r.frobenius(1)), (1, y, y)]
+    agree_fully(sum_of_products(R, triples), r ** (R.spec.q + 1) + y * y)
+    with pytest.raises(RingMismatch):
+        sum_of_products(R, [(1, x, ambient_ring(R.spec, 3).gen(0))])
+    with pytest.raises(RingMismatch):
+        sum_of_products(R, [(field_spec(5).one, x, y)])
+
+
+def leibniz_det(rows, ring):
+    """The determinant as a signed sum over permutations, with plain * and +."""
+    n = len(rows)
+    total = ring.zero
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = ring.one.scale(ring.spec.sign(inversions))
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("ftext", FIELDS)
+@pytest.mark.parametrize("n", [3, 4])
+@given(data=st.data())
+def test_det_matches_the_leibniz_sum(ftext, n, data):
+    R = field_ring(ftext)
+    entry = st.builds(lambda p, i: p.frobenius(-i), polys(R, max_terms=2, max_exp=3), twists)
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    agree_fully(det(PolyMatrix(R, rows)), leibniz_det(rows, R))
+
+
+@pytest.mark.parametrize("ftext", FIELDS)
+@given(data=st.data(), i=twists, j=twists)
+def test_coeff_at_leading_matches_the_vector_route(ftext, data, i, j):
+    R = field_ring(ftext)
+    v = data.draw(st.one_of(edge_polys(R), polys(R))).frobenius(-i)
+    b = data.draw(st.one_of(edge_polys(R), polys(R))).frobenius(-j)
+    for u in (b, v, b + v, v.frobenius(1)):
+        if u.terms:
+            assert v.coeff_at_leading(u) == v.coeff_of(u.leading_monomial())
+    if b.terms:
+        # the leading term of b is found in a sum at another width and shift
+        s = v + b.scale(2)
+        assert s.coeff_at_leading(b) == s.coeff_of(b.leading_monomial())
