@@ -167,6 +167,25 @@ class PolyRing:
             return self.zero
         return Poly(self, {0: c})
 
+    def from_terms(self, terms: Iterable, shift: int = 0) -> "Poly":
+        """The sum of c * x^(v / q^shift) over (v, c) pairs, v an exponent
+        vector of nonnegative ints, one per variable, and c a field element;
+        repeated vectors add up."""
+        spec = self.spec
+        live = []
+        for v, c in terms:
+            if len(v) != self.nvars:
+                raise RingMismatch(f"exponent vector {tuple(v)} for {self.nvars} variables")
+            if c.spec != spec:
+                raise RingMismatch("coefficient from a different field")
+            if c.idx:
+                live.append((v, c))
+        w = _width(max((sum(v) for v, _ in live), default=0))
+        out: dict = {}
+        for v, c in live:
+            _merge_term(out, _pack(v, w), c)
+        return _poly(self, out, shift, w)
+
     def key(self, m: tuple[tuple, int]):
         """Exact graded-lex key of a monomial (vector, shift); keys of
         monomials from different polynomials compare correctly."""
@@ -756,19 +775,14 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
                     dpow += 1
             powers.append((var, num, dpow))
             top = max(top, dpow)
-        if coeff.idx:
-            parsed.append((coeff, powers))
+        parsed.append((coeff, powers))
     vecs = []
     for coeff, powers in parsed:
         vec = [0] * ring.nvars
         for var, num, dpow in powers:
             vec[var] += num * q ** (top - dpow)
         vecs.append((vec, coeff))
-    w = _width(max((sum(v) for v, _ in vecs), default=0))
-    out: dict = {}
-    for vec, coeff in vecs:
-        _merge_term(out, _pack(vec, w), coeff)
-    return _poly(ring, out, top, w)
+    return ring.from_terms(vecs, top)
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:

@@ -18,7 +18,7 @@ subspace of the same ring; each V remembers its quotients.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from .errors import (
     DimensionDrop,
@@ -30,6 +30,20 @@ from .errors import (
 from .ppoly import Poly, PolyRing, UniPoly, sum_of_products
 
 DEFAULT_ENUMERATION_CEILING = 243
+_ceiling = DEFAULT_ENUMERATION_CEILING
+
+
+def set_enumeration_ceiling(ceiling: int) -> None:
+    """Ceiling on q^dim for every enumeration and annihilator that is not
+    given one explicitly."""
+    global _ceiling
+    if ceiling < 1:
+        raise ValueError("enumeration ceiling must be positive")
+    _ceiling = ceiling
+
+
+def get_enumeration_ceiling() -> int:
+    return _ceiling
 
 
 def _reduce(v: Poly, basis: list[Poly]) -> Poly:
@@ -119,26 +133,31 @@ def span(ring: PolyRing, vectors) -> Subspace:
 
 
 def _check_ceiling(q: int, dim: int, ceiling: int | None) -> None:
-    cap = DEFAULT_ENUMERATION_CEILING if ceiling is None else ceiling
+    cap = _ceiling if ceiling is None else ceiling
     if q**dim > cap:
         raise EnumerationTooLarge(
             f"enumerating q^dim = {q}^{dim} vectors exceeds the ceiling {cap}"
         )
 
 
-def enumerate_vectors(V: Subspace, ceiling: int | None = None) -> list[Poly]:
-    """All q^dim vectors, zero first; coefficients run in field order with
-    the first basis vector most significant."""
-    spec = V.ring.spec
-    _check_ceiling(spec.q, V.dim, ceiling)
+def _linear_combinations(ring: PolyRing, vectors) -> list[Poly]:
+    """Every F_q-combination of vectors, zero first; coefficients run in
+    field order with the first vector most significant."""
     out = []
-    for coeffs in product(spec.elements, repeat=V.dim):
-        acc = V.ring.zero
-        for c, b in zip(coeffs, V.basis):
+    for coeffs in product(ring.spec.elements, repeat=len(vectors)):
+        acc = ring.zero
+        for c, b in zip(coeffs, vectors):
             if c.idx:
                 acc = acc + b.scale(c)
         out.append(acc)
     return out
+
+
+def enumerate_vectors(V: Subspace, ceiling: int | None = None) -> list[Poly]:
+    """All q^dim vectors, zero first; coefficients run in field order with
+    the first basis vector most significant."""
+    _check_ceiling(V.ring.spec.q, V.dim, ceiling)
+    return _linear_combinations(V.ring, V.basis)
 
 
 def enumerate_lines(V: Subspace, ceiling: int | None = None) -> list[Subspace]:
@@ -326,26 +345,33 @@ def coset_product(U: Subspace, Uprime: Subspace) -> Poly:
 
 
 def enumerate_subspaces(V: Subspace, ceiling: int | None = None) -> list[Subspace]:
-    """All subspaces of V of every dimension, deduplicated via canonical
-    bases, ordered by dimension then basis order."""
-    spec = V.ring.spec
-    _check_ceiling(spec.q, V.dim, ceiling)
-    vectors = [v for v in enumerate_vectors(V, ceiling) if v.terms]
-    levels: list[list[Subspace]] = [[Subspace.zero(V.ring)]]
-    for d in range(1, V.dim + 1):
-        seen = set()
-        level = []
-        for S in levels[d - 1]:
-            for v in vectors:
-                if S.contains_vector(v):
-                    continue
-                W = Subspace.span(V.ring, list(S.basis) + [v])
-                if W not in seen:
-                    seen.add(W)
-                    level.append(W)
-        level.sort(key=lambda W: tuple(b.sort_key() for b in W.basis))
-        levels.append(level)
+    """All subspaces of V, ordered by dimension, then by the sort keys of
+    their basis vectors.
+
+    The subspaces of dimension d correspond one to one with the reduced
+    row-echelon d x dim V matrices over F_q (D. E. Knuth, "Subspaces,
+    subsets, and partitions", J. Combin. Theory A 10, 1971), read as
+    coordinates on the basis of V. Every Subspace basis is reduced echelon:
+    monic, sorted by descending leading monomial, each leading monomial in
+    no other basis vector. So the row for pivot column p, the basis vector
+    b_p plus any combination of the later non-pivot basis vectors, is monic
+    at LM(b_p), and no other row has that monomial: the rows are already
+    the canonical basis, and each subspace is built once, with no
+    elimination.
+    """
+    ring = V.ring
+    _check_ceiling(ring.spec.q, V.dim, ceiling)
+    n = V.dim
+    basis = V.basis
     out = []
-    for level in levels:
+    for d in range(n + 1):
+        level = []
+        for pivots in combinations(range(n), d):
+            rows = []
+            for p in pivots:
+                free = [basis[c] for c in range(p + 1, n) if c not in pivots]
+                rows.append([basis[p] + w for w in _linear_combinations(ring, free)])
+            level.extend(Subspace(ring, r) for r in product(*rows))
+        level.sort(key=lambda W: tuple(b.sort_key() for b in W.basis))
         out.extend(level)
     return out

@@ -301,13 +301,11 @@ def _random_poly(ring: PolyRing, rng: random.Random, max_terms=2, max_exp=6,
     """A small random polynomial with integer exponents."""
     spec = ring.spec
     lo = 0 if allow_zero else 1
-    out = ring.zero
+    terms = []
     for _ in range(rng.randint(lo, max_terms)):
-        m = ring.one
-        for g in ring.gens():
-            m = m * g ** rng.randint(0, max_exp)
-        out = out + m.scale(spec.elements[rng.randrange(1, spec.q)])
-    return out
+        v = [rng.randint(0, max_exp) for _ in range(ring.nvars)]
+        terms.append((v, spec.elements[rng.randrange(1, spec.q)]))
+    return ring.from_terms(terms)
 
 
 def _band_array(ring: PolyRing, rng: random.Random, lo: int, hi: int, width: int, tag: str):
@@ -858,9 +856,31 @@ def run_sweep(cfg: SweepConfig) -> dict:
 
     Returns {"cases": [...], "aggregate": {total, passed, failed, seed}} with
     cases sorted canonically. Deterministic for a fixed config apart from the
-    millis timing fields.
+    millis timing fields. cfg.ceiling bounds every enumeration, annihilator
+    and quotient in the sweep; the previous ceiling is restored afterwards.
     """
     cfg.validate()
+    saved = subspaces.get_enumeration_ceiling()
+    subspaces.set_enumeration_ceiling(cfg.ceiling)
+    try:
+        reports = _sweep_reports(cfg)
+    finally:
+        subspaces.set_enumeration_ceiling(saved)
+    reports.sort(key=CaseReport.sort_key)
+    passed = sum(1 for r in reports if r.status == "pass")
+    return {
+        "cases": [r.to_dict() for r in reports],
+        "aggregate": {
+            "total": len(reports),
+            "passed": passed,
+            "failed": len(reports) - passed,
+            "seed": cfg.seed,
+        },
+    }
+
+
+def _sweep_reports(cfg: SweepConfig) -> list:
+    """The unsorted case reports of run_sweep."""
     chosen = cfg.selected()
     reports: list[CaseReport] = []
     dims = range(cfg.min_dim, cfg.max_dim + 1)
@@ -958,15 +978,4 @@ def run_sweep(cfg: SweepConfig) -> dict:
             # q alone does not tell two moduli of one field size apart
             for rep in reports[first:]:
                 rep.basis = f"{spec.to_text()} {rep.basis}".rstrip()
-
-    reports.sort(key=CaseReport.sort_key)
-    passed = sum(1 for r in reports if r.status == "pass")
-    return {
-        "cases": [r.to_dict() for r in reports],
-        "aggregate": {
-            "total": len(reports),
-            "passed": passed,
-            "failed": len(reports) - passed,
-            "seed": cfg.seed,
-        },
-    }
+    return reports

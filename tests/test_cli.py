@@ -7,6 +7,7 @@ import pytest
 from qschur.cli import main
 from qschur.gf import parse_field_spec
 from qschur.ppoly import ambient_ring, get_term_limit
+from qschur.subspaces import DEFAULT_ENUMERATION_CEILING, get_enumeration_ceiling
 
 
 def run(capsys, *argv):
@@ -179,6 +180,19 @@ def test_verify_flag_overrides_config(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert {c["identity"] for c in report["cases"]} == {"hook-step"}
+
+
+def test_verify_config_ceiling_governs_the_sweep(tmp_path, capsys):
+    # 16^2 = 256 is over the default ceiling of 243: every enumeration,
+    # annihilator and quotient of the sweep must use the config's ceiling
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"fields": ["q=2^4"], "min_dim": 2, "max_dim": 2,
+                               "ceiling": 256,
+                               "identities": ["quotient-tower", "coset-product"]}))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, err) == (0, "")
+    assert out.strip().split("\n")[-1] == "total 108 passed 108 failed 0 seed 0"
+    assert get_enumeration_ceiling() == DEFAULT_ENUMERATION_CEILING
 
 
 def test_verify_bad_config_exit_2(tmp_path, capsys):

@@ -118,6 +118,28 @@ def test_parse_rejects_garbage():
             R.parse(text)
 
 
+def test_from_terms_sums_exponent_vectors():
+    R3 = ring3()
+    x, y = R3.gens()
+    one, two = R3.spec.elements[1], R3.spec.elements[2]
+    assert R3.from_terms([]) == R3.zero
+    assert R3.from_terms([((0, 0), two)]) == R3.from_coeff(2)
+    p = R3.from_terms([((2, 1), one), ((0, 3), two), ((2, 1), one)])
+    assert p == 2 * x**2 * y + 2 * y**3 and str(p) == "2*x^2*y + 2*y^3"
+    # repeated vectors cancel, zero coefficients vanish
+    assert R3.from_terms([((1, 0), one), ((1, 0), two), ((0, 1), R3.spec.zero)]).is_zero()
+    # exponents over q^shift, the shift kept minimal
+    assert R3.from_terms([((1, 0), one)], shift=1) == x.frobenius(-1)
+    assert R3.from_terms([((3, 6), one)], shift=1) == x * y**2
+    # a degree past one field word takes a wider key
+    big = R3.from_terms([((2**40, 1), one), ((1, 0), one)])
+    assert big == x ** (2**40) * y + x and big.width > 32
+    with pytest.raises(RingMismatch):
+        R3.from_terms([((1,), one)])
+    with pytest.raises(RingMismatch):
+        R3.from_terms([((1, 0), ring2().spec.one)])
+
+
 def test_add_mul_in_characteristic():
     R = ring2()
     x, y = R.gens()

@@ -21,9 +21,11 @@ from qschur.subspaces import (
     enumerate_lines,
     enumerate_subspaces,
     enumerate_vectors,
+    get_enumeration_ceiling,
     internal_quotient,
     pi_product,
     quotient_tower_check,
+    set_enumeration_ceiling,
     span,
 )
 
@@ -382,3 +384,111 @@ def test_describe_is_cached_text():
     assert V.describe() is text
     assert repr(V) == f"Subspace({text})"
     assert Subspace.zero(R).describe() == "0"
+
+
+# Enumerating subspaces by reduced echelon form --------------------------------
+
+
+def reference_subspaces(V):
+    """The span-and-deduplicate enumeration: level d spans every subspace of
+    level d - 1 with every vector outside it and keeps the new ones."""
+    vectors = [v for v in enumerate_vectors(V) if v.terms]
+    levels = [[Subspace.zero(V.ring)]]
+    for d in range(1, V.dim + 1):
+        seen = set()
+        level = []
+        for S in levels[d - 1]:
+            for v in vectors:
+                if S.contains_vector(v):
+                    continue
+                W = span(V.ring, list(S.basis) + [v])
+                if W not in seen:
+                    seen.add(W)
+                    level.append(W)
+        level.sort(key=lambda W: tuple(b.sort_key() for b in W.basis))
+        levels.append(level)
+    return [W for level in levels for W in level]
+
+
+def gaussian_binomial(n, d, q):
+    """The number of d-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(d):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def spaces_of_dim(ftext, n):
+    """A coordinate space of dimension n, the quotient of a coordinate space
+    of dimension n + 1 by the line through the sum of its generators, and at
+    n = 2 the span of x + y and y^2 + z."""
+    R = ambient_ring(parse_field_spec(ftext), 5)
+    gens = R.gens()
+    big = span(R, gens[: n + 1])
+    line = span(R, [sum(gens[1 : n + 1], gens[0])])
+    out = [span(R, gens[:n]), internal_quotient(big, line)]
+    if n == 2:
+        x, y, z = gens[:3]
+        out.append(span(R, [x + y, y**2 + z]))
+    for V in out:
+        assert V.dim == n
+    return out
+
+
+ECHELON_CASES = [(f, n) for f in ("q=2", "q=3", "q=2^2", "q=5") for n in range(4)]
+
+
+@pytest.mark.parametrize("ftext,n", ECHELON_CASES + [("q=3", 4)])
+def test_echelon_enumeration_matches_span_and_deduplicate(ftext, n):
+    for V in spaces_of_dim(ftext, n):
+        got = enumerate_subspaces(V)
+        ref = reference_subspaces(V)
+        assert got == ref
+        assert [W.describe() for W in got] == [W.describe() for W in ref]
+        for W in got:
+            # each basis is canonical: spanning it again changes nothing
+            assert span(V.ring, list(W.basis)).basis == W.basis
+            assert V.contains(W)
+
+
+@pytest.mark.parametrize("ftext,n", ECHELON_CASES + [("q=3", 4)])
+def test_subspace_counts_are_gaussian_binomials(ftext, n):
+    q = parse_field_spec(ftext).q
+    for V in spaces_of_dim(ftext, n):
+        dims = [W.dim for W in enumerate_subspaces(V)]
+        assert dims == sorted(dims)
+        for d in range(n + 1):
+            assert dims.count(d) == gaussian_binomial(n, d, q)
+
+
+def test_subspace_enumeration_ceiling_error_is_unchanged():
+    R = ambient_ring(field_spec(3), 6)
+    V = span(R, R.gens())
+    message = "enumerating q^dim = 3^6 vectors exceeds the ceiling 243"
+    with pytest.raises(EnumerationTooLarge) as exc:
+        enumerate_subspaces(V)
+    assert str(exc.value) == message
+    with pytest.raises(EnumerationTooLarge) as exc:
+        enumerate_subspaces(span(R, R.gens()[:3]), ceiling=26)
+    assert str(exc.value) == "enumerating q^dim = 3^3 vectors exceeds the ceiling 26"
+    assert len(enumerate_subspaces(span(R, R.gens()[:3]), ceiling=27)) == 28
+
+
+def test_global_ceiling_applies_where_none_is_given():
+    R = setup_ring(q=2, n=5)
+    V = span(R, R.gens())
+    saved = get_enumeration_ceiling()
+    try:
+        set_enumeration_ceiling(31)
+        with pytest.raises(EnumerationTooLarge, match="2\\^5 vectors exceeds the ceiling 31"):
+            enumerate_subspaces(V)
+        with pytest.raises(EnumerationTooLarge):
+            additive_poly(V)
+        assert len(enumerate_subspaces(V, ceiling=32)) == 374
+        with pytest.raises(ValueError):
+            set_enumeration_ceiling(0)
+        assert get_enumeration_ceiling() == 31
+    finally:
+        set_enumeration_ceiling(saved)
+    assert len(enumerate_subspaces(V)) == 374

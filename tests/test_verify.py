@@ -1,15 +1,23 @@
 """Sweep driver: case reports, config validation, and a mutation check."""
 
 import json
+import random
 
 import pytest
 
+from qschur import verify
 from qschur.errors import ConfigInvalid
-from qschur.gf import field_spec
+from qschur.gf import field_spec, parse_field_spec
 from qschur.partitions import weight
 from qschur.ppoly import ambient_ring
 from qschur.schur import SchurContext
-from qschur.subspaces import Subspace, enumerate_flags, span
+from qschur.subspaces import (
+    DEFAULT_ENUMERATION_CEILING,
+    Subspace,
+    enumerate_flags,
+    get_enumeration_ceiling,
+    span,
+)
 from qschur.verify import (
     ALL_IDENTITIES,
     GROUPS,
@@ -418,6 +426,61 @@ def test_run_sweep_identity_filter():
     report = run_sweep(small_cfg(identities=("pieri",)))
     assert report["cases"]
     assert {c["identity"] for c in report["cases"]} == {"pieri"}
+
+
+def test_run_sweep_scopes_the_config_ceiling(monkeypatch):
+    seen = []
+    honest = verify.check_quotient_tower
+
+    def spy(V, U, T, q):
+        seen.append(get_enumeration_ceiling())
+        return honest(V, U, T, q)
+
+    monkeypatch.setattr(verify, "check_quotient_tower", spy)
+    report = run_sweep(small_cfg(identities=("quotient-tower",), ceiling=300))
+    assert report["aggregate"]["failed"] == 0
+    assert seen and set(seen) == {300}
+    assert get_enumeration_ceiling() == DEFAULT_ENUMERATION_CEILING
+
+    def broken(V, U, T, q):
+        assert get_enumeration_ceiling() == 5
+        raise KeyError("boom")
+
+    monkeypatch.setattr(verify, "check_quotient_tower", broken)
+    with pytest.raises(KeyError):
+        run_sweep(small_cfg(identities=("quotient-tower",), ceiling=5))
+    assert get_enumeration_ceiling() == DEFAULT_ENUMERATION_CEILING
+
+
+def product_random_poly(ring, rng, max_terms=2, max_exp=6, allow_zero=False):
+    """The random polynomial built as a sum of scaled products of powers of
+    the generators, drawing what _random_poly draws in the same order."""
+    spec = ring.spec
+    out = ring.zero
+    for _ in range(rng.randint(0 if allow_zero else 1, max_terms)):
+        m = ring.one
+        for g in ring.gens():
+            m = m * g ** rng.randint(0, max_exp)
+        out = out + m.scale(spec.elements[rng.randrange(1, spec.q)])
+    return out
+
+
+@pytest.mark.parametrize("ftext", ["q=2", "q=3", "q=2^2"])
+def test_random_poly_matches_the_product_construction(ftext):
+    spec = parse_field_spec(ftext)
+    shapes = [dict(), dict(max_terms=2, max_exp=3, allow_zero=True),
+              dict(max_terms=3, max_exp=spec.q**2, allow_zero=True),
+              dict(max_terms=6, max_exp=1)]  # repeated monomials add up or cancel
+    for n in (1, 2, 3):
+        ring = ambient_ring(spec, n)
+        for seed in range(40):
+            for shape in shapes:
+                a_rng, b_rng = random.Random(seed), random.Random(seed)
+                a = verify._random_poly(ring, a_rng, **shape)
+                b = product_random_poly(ring, b_rng, **shape)
+                assert a == b and hash(a) == hash(b) and str(a) == str(b)
+                assert (a.shift, a.width) == (b.shift, b.width)
+                assert a_rng.random() == b_rng.random()  # the same draws
 
 
 def test_coproduct_truncation_case():
