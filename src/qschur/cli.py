@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 
+from . import partitions
 from .errors import ConfigInvalid, InvalidFieldSpec, PolyParseError, QschurError
 from .gf import parse_field_spec
 from .ppoly import ambient_ring, get_term_limit, set_term_limit
@@ -35,10 +36,13 @@ def _parse_partition(text: str | None) -> tuple:
     if not text:
         return ()
     try:
-        parts = tuple(int(piece) for piece in text.split(","))
+        parts = [int(piece) for piece in text.split(",")]
     except ValueError:
         raise PolyParseError(f"bad partition {text!r}; expected e.g. 3,1,1") from None
-    return parts
+    try:
+        return partitions.partition(parts)
+    except ValueError as exc:
+        raise PolyParseError(f"bad partition {text!r}: {exc}") from None
 
 
 def _parse_basis(ring, text: str | None) -> list:

@@ -44,12 +44,6 @@ def part(lam: Partition, i: int) -> int:
     return lam[i - 1] if 1 <= i <= len(lam) else 0
 
 
-def conjugate(lam: Partition) -> Partition:
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= c) for c in range(1, lam[0] + 1))
-
-
 def contains(lam: Partition, mu: Partition) -> bool:
     """True iff mu fits inside lam row by row."""
     if len(mu) > len(lam):

@@ -587,28 +587,6 @@ class Poly:
             return self.terms.get(other._leading(), self.ring.spec.zero)
         return self.coeff_of(other.leading_monomial())
 
-    def evaluate_points(self, values: list[FieldElement]) -> FieldElement:
-        """Evaluate at field elements (one per ring variable); integer exponents only."""
-        spec = self.ring.spec
-        n = self.ring.nvars
-        if len(values) != n:
-            raise RingMismatch(
-                f"expected {n} values, got {len(values)}"
-            )
-        for v in values:
-            if v.spec != spec:
-                raise RingMismatch("evaluation point from a different field")
-        if self.shift:
-            raise FractionalExponent("point evaluation requires integer exponents")
-        acc = spec.zero
-        for m, c in self.terms.items():
-            term = c
-            for var, e in enumerate(_unpack(m, n, self.width)):
-                if e:
-                    term = term * values[var] ** e
-            acc = acc + term
-        return acc
-
     def sort_key(self):
         """Deterministic total order key among polynomials of one ring."""
         key = self.ring.key
@@ -994,17 +972,6 @@ class UniPoly:
         self.ring = ring
         self.coeffs = coeffs
 
-    @classmethod
-    def t(cls, ring: PolyRing) -> "UniPoly":
-        return cls(ring, {1: ring.one})
-
-    @classmethod
-    def t_plus(cls, v: Poly) -> "UniPoly":
-        coeffs = {1: v.ring.one}
-        if v.terms:
-            coeffs[0] = v
-        return cls(v.ring, coeffs)
-
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -1031,11 +998,6 @@ class UniPoly:
 
     def coefficient(self, e: int) -> Poly:
         return self.coeffs.get(e, self.ring.zero)
-
-    def t_degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero univariate polynomial")
-        return max(self.coeffs)
 
     def is_q_poly(self) -> bool:
         """True iff every t-exponent is a power of q (1, q, q^2, ...)."""

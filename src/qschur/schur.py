@@ -8,9 +8,10 @@ n-dimensional subspace V gives the straight value S_lam(V), which does not
 depend on the basis chosen.
 
 Complete and elementary values H_r and E_r are the straight values at the
-one-row and one-column shapes. Skew values are Frobenius-twisted
-determinants in the H_r (their tilde companions in the E_r); for skew
-values the twist can be negative, so fractional exponents may and do occur.
+one-row and one-column shapes. On every basis a skew value is one
+Frobenius-twisted determinant over the cached H_r of that basis (its tilde
+companion one over the E_r); for skew values the twist can be negative, so
+fractional exponents may and do occur.
 
 A SchurContext carries the per-field caches: universal quotients keyed by
 (shape, dimension), straight values keyed by (shape, canonical basis), and
@@ -48,13 +49,73 @@ def _plain_basis(V: Subspace) -> bool:
     return _variable_images(list(V.basis)) is not None
 
 
+def _sized(lam, mu, k: int | None) -> tuple[Partition, Partition, int]:
+    """Validated shapes and matrix size of a twisted determinant: k defaults
+    to the longer shape's length, and a smaller k is refused."""
+    lam = partitions.partition(lam)
+    mu = partitions.partition(mu)
+    least = max(len(lam), len(mu))
+    if k is None:
+        return lam, mu, least
+    if k < least:
+        raise LengthTooLong(f"matrix size {k} below max length {least}")
+    return lam, mu, k
+
+
+def _h_twist(a: int, b: int) -> int:
+    """Twist phi^(mu_j - j + 1) of a skew-value entry."""
+    return b + 1
+
+
+def _e_twist(a: int, b: int) -> int:
+    """Twist phi^(lam_i - i) of a companion-value entry."""
+    return a
+
+
 class SchurContext:
-    """Caches for one coefficient field."""
+    """Caches and value routes for one coefficient field.
+
+    Routes, by value:
+
+    - universal quotient in x1..xn (universal_schur): alternant at
+      lam + staircase divided exactly by the staircase alternant;
+    - S_lam(V) (schur_S): the universal quotient substituted onto the basis
+      for one-column shapes on any basis and for every shape on a
+      bare-variable basis; on denser bases, the window recursion over the
+      E_j for one-row shapes and the twisted determinant over the H_r for
+      the rest;
+    - S_lam/mu(V) (skew_S): the twisted determinant over the H_r on V's own
+      basis, on every basis; tilde_S likewise over the E_r;
+    - schur_on_basis: the universal quotient substituted onto an explicit
+      spanning list; schur_direct: alternants formed on the basis itself and
+      divided there (a reference for tests only).
+
+    What each identity of qschur.verify compares a value against (the sweep
+    runs on bare-variable bases, whose quotients V // U have dense bases):
+
+    - vl-recursion, straight-recursion: the value on V against the sum of
+      values on the dense quotients V // L, whose H_r come from the window
+      recursion rather than substitution; straight-recursion also transports
+      the generic-space comparison onto V by substitution;
+    - flag-formula: S_lam(V) against products of H_r on the steps of every
+      complete flag;
+    - pieri, coproduct, coproduct-truncation: skew values on a quotient
+      against expansions in skew values on V and tilde values on U;
+    - he-inverse: the H_r array against the E_r array, both substituted
+      universal quotients of different shapes on the bare basis;
+    - h-factorization: the H_r array of V against the product of those of
+      V // U and U;
+    - hook-step, full-column-reduction: values against pi(U) times values of
+      smaller shapes;
+    - gl-invariance, functoriality: schur_S against schur_on_basis, and
+      against the universal quotient pushed onto a random family;
+    - k-independence: skew_S at size k against size k + 1; vanishing and
+      degree-formula against closed forms.
+    """
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self._universal: dict[tuple[Partition, int], Poly] = {}
-        self._universal_skew: dict[tuple[Partition, Partition, int, int], Poly] = {}
         self._straight: dict[tuple[Partition, Subspace], Poly] = {}
         self._skew: dict[tuple[Partition, Partition, int, Subspace], Poly] = {}
         self._lock = threading.RLock()
@@ -85,38 +146,6 @@ class SchurContext:
                 bottom = self.alternant(partitions.delta(n), n)
                 got = exact_div(top, bottom)
                 self._universal[key] = got
-        return got
-
-    def universal_skew(self, lam: Partition, mu: Partition, k: int, n: int) -> Poly:
-        """Twisted k x k determinant over the one-row values in x1..xn.
-
-        The determinant collapses in the generic ring, which keeps it far
-        smaller than the product of its entries after substitution. Negative
-        twists can leave fractional exponents in an entry; they usually
-        cancel out of the determinant.
-        """
-        key = (lam, mu, k, n)
-        with self._lock:
-            got = self._universal_skew.get(key)
-            if got is None:
-                ring = universal_ring(self.spec, n)
-                rows = []
-                for i in range(1, k + 1):
-                    li = partitions.part(lam, i)
-                    row = []
-                    for j in range(1, k + 1):
-                        mj = partitions.part(mu, j)
-                        r = li - mj - i + j
-                        if r < 0:
-                            entry = ring.zero
-                        elif r == 0:
-                            entry = ring.one
-                        else:
-                            entry = self.universal_schur((r,), n)
-                        row.append(entry.frobenius(mj - j + 1))
-                    rows.append(row)
-                got = fmatrix.det(fmatrix.PolyMatrix(ring, rows))
-                self._universal_skew[key] = got
         return got
 
     # Straight values -----------------------------------------------------
@@ -196,7 +225,7 @@ class SchurContext:
                  self.h_r(r - j, V))
                 for j in range(1, min(r, n) + 1)
             ])
-        return self._skew_entrywise(lam, (), V, len(lam))
+        return self._twisted_det(*_sized(lam, (), None), V, self.h_r, _h_twist)
 
     def h_r(self, r: int, V: Subspace) -> Poly:
         """Complete value: S at the one-row shape; zero for r < 0, one at r = 0."""
@@ -221,78 +250,32 @@ class SchurContext:
 
         The size k defaults to max(len(lam), len(mu)) and any larger k gives
         the same value. Negative twists make fractional exponents possible;
-        they are returned as-is. On a bare-variable basis the determinant
-        collapses in the generic ring before the basis goes in; when it
-        carries fractional exponents (where substitution is undefined) it is
-        pushed through k - 1 Frobenius steps first, which clear every
-        denominator, and pulled back after. Denser bases take the entrywise
-        determinant over the one-row values instead, which never raises a
-        basis vector to a large power.
+        they are returned as-is. The entries are the cached one-row values on
+        V's own basis, so no basis vector is raised to a large power.
         """
-        lam = partitions.partition(lam)
-        mu = partitions.partition(mu)
-        least = max(len(lam), len(mu))
-        if k is None:
-            k = least
-        elif k < least:
-            raise LengthTooLong(f"matrix size {k} below max length {least}")
-        if k == 0:
-            return V.ring.one
-        n = V.dim
-        if n == 0:
-            return self._skew_entrywise(lam, mu, V, k)
+        lam, mu, k = _sized(lam, mu, k)
         key = (lam, mu, k, V)
         with self._lock:
             got = self._skew.get(key)
             if got is None:
-                if not _plain_basis(V):
-                    got = self._skew_entrywise(lam, mu, V, k)
-                else:
-                    generic = self.universal_skew(lam, mu, k, n)
-                    if generic.has_fractional_exponents():
-                        # Twists sit at 1 - k or above, so denominators
-                        # divide q^(k-1); substitution commutes with
-                        # Frobenius.
-                        b = k - 1
-                        shifted = evaluate_morphism(generic.frobenius(b), list(V.basis))
-                        got = shifted.frobenius(-b)
-                    else:
-                        got = evaluate_morphism(generic, list(V.basis))
-                self._skew[key] = got
+                got = self._skew[key] = self._twisted_det(lam, mu, k, V, self.h_r, _h_twist)
         return got
-
-    def _skew_entrywise(self, lam: Partition, mu: Partition, V: Subspace, k: int) -> Poly:
-        """Determinant over already-substituted entries, in the ring of V."""
-        rows = []
-        for i in range(1, k + 1):
-            li = partitions.part(lam, i)
-            row = []
-            for j in range(1, k + 1):
-                mj = partitions.part(mu, j)
-                row.append(self.h_r(li - mj - i + j, V).frobenius(mj - j + 1))
-            rows.append(row)
-        return fmatrix.det(fmatrix.PolyMatrix(V.ring, rows))
 
     def tilde_S(self, lam: Partition, mu: Partition, U: Subspace, k: int | None = None) -> Poly:
         """Companion determinant det(phi^(lam_i - i) E_(lam_i - mu_j - i + j))."""
-        lam = partitions.partition(lam)
-        mu = partitions.partition(mu)
-        least = max(len(lam), len(mu))
-        if k is None:
-            k = least
-        elif k < least:
-            raise LengthTooLong(f"matrix size {k} below max length {least}")
-        if k == 0:
-            return U.ring.one
+        lam, mu, k = _sized(lam, mu, k)
+        return self._twisted_det(lam, mu, k, U, self.e_r, _e_twist)
+
+    def _twisted_det(self, lam: Partition, mu: Partition, k: int, V: Subspace,
+                     value, twist) -> Poly:
+        """det(phi^twist(a_i, b_j) value(a_i - b_j, V)) over 1 <= i, j <= k,
+        with a_i = lam_i - i and b_j = mu_j - j, in the ring of V."""
+        b = [partitions.part(mu, j) - j for j in range(1, k + 1)]
         rows = []
         for i in range(1, k + 1):
-            li = partitions.part(lam, i)
-            row = []
-            for j in range(1, k + 1):
-                mj = partitions.part(mu, j)
-                row.append(self.e_r(li - mj - i + j, U).frobenius(li - i))
-            rows.append(row)
-        return fmatrix.det(fmatrix.PolyMatrix(U.ring, rows))
+            a = partitions.part(lam, i) - i
+            rows.append([value(a - bj, V).frobenius(twist(a, bj)) for bj in b])
+        return fmatrix.det(fmatrix.PolyMatrix(V.ring, rows))
 
     # Triangular arrays ----------------------------------------------------
 

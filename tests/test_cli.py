@@ -94,9 +94,14 @@ def test_flags_listing(capsys):
     assert all(" > " in r for r in rows)
 
 
-def test_exit_code_2_on_bad_partition(capsys):
-    code, out, err = run(capsys, "compute", "S", "--lambda", "fish",
-                         "--basis", "x;y")
+@pytest.mark.parametrize("argv", [
+    ("compute", "S", "--lambda", "fish"),
+    ("compute", "S", "--lambda", "2,-1"),
+    ("compute", "S", "--lambda", "1,2"),
+    ("compute", "skew", "--lambda", "2,1", "--mu", "1,2"),
+], ids=["fish", "negative-part", "increasing", "bad-mu"])
+def test_exit_code_2_on_bad_partition(capsys, argv):
+    code, out, err = run(capsys, *argv, "--basis", "x;y")
     assert code == 2
     assert out == ""
     assert err.startswith("error:")

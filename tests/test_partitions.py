@@ -11,7 +11,6 @@ from qschur.errors import (
 )
 from qschur.partitions import (
     all_permutations,
-    conjugate,
     contains,
     decrement_all,
     delta,
@@ -44,14 +43,6 @@ def test_weight_and_part():
     assert part(lam, 1) == 4
     assert part(lam, 3) == 1
     assert part(lam, 9) == 0
-
-
-def test_conjugate():
-    assert conjugate((3, 1)) == (2, 1, 1)
-    assert conjugate((2, 2)) == (2, 2)
-    assert conjugate(()) == ()
-    for lam in partitions_up_to_weight(6):
-        assert conjugate(conjugate(lam)) == lam
 
 
 def test_contains():

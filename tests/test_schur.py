@@ -10,8 +10,10 @@ from qschur.errors import (
     WindowInvalid,
     ZeroVector,
 )
-from qschur.gf import field_spec
-from qschur.ppoly import ambient_ring, universal_ring
+from qschur import fmatrix
+from qschur.gf import field_spec, parse_field_spec
+from qschur.partitions import part, partitions_up_to_weight
+from qschur.ppoly import ambient_ring, evaluate_morphism, universal_ring
 from qschur.schur import SchurContext
 from qschur.subspaces import (
     Subspace,
@@ -132,6 +134,60 @@ def test_skew_k_independence():
         assert ctx.skew_S(lam, mu, V, k=k) == base
     with pytest.raises(LengthTooLong):
         ctx.skew_S(lam, mu, V, k=1)
+
+
+def reference_universal_skew(ctx, lam, mu, V, k):
+    """(value, pushed): the skew value by the generic-ring route.
+
+    The twisted k x k determinant is formed over the universal one-row
+    quotients in x1..xn and then substituted onto V's basis. Substitution
+    refuses fractional exponents; twists sit at 1 - k or above, so k - 1
+    Frobenius steps clear every denominator, and since substitution commutes
+    with Frobenius the result is pulled back by as many steps. pushed tells
+    whether that happened.
+    """
+    n = V.dim
+    ring = universal_ring(ctx.spec, n)
+
+    def h(r):
+        # one-row values vanish on the zero space, as in schur_S
+        if r < 0 or (r > 0 and n == 0):
+            return ring.zero
+        return ring.one if r == 0 else ctx.universal_schur((r,), n)
+
+    rows = [[h(part(lam, i) - part(mu, j) - i + j).frobenius(part(mu, j) - j + 1)
+             for j in range(1, k + 1)] for i in range(1, k + 1)]
+    generic = fmatrix.det(fmatrix.PolyMatrix(ring, rows))
+    images = list(V.basis)
+    if generic.has_fractional_exponents():
+        b = k - 1
+        pushed = evaluate_morphism(generic.frobenius(b), images, target_ring=V.ring)
+        return pushed.frobenius(-b), True
+    return evaluate_morphism(generic, images, target_ring=V.ring), False
+
+
+@pytest.mark.parametrize("ftext", ["q=2", "q=3", "q=2^2"])
+def test_skew_matches_the_generic_route_on_bare_variable_bases(ftext):
+    spec = parse_field_spec(ftext)
+    ctx = SchurContext(spec)
+    R = ambient_ring(spec, 3)
+    x, y, z = R.gens()
+    spaces = [span(R, [x, y]), span(R, [y, z]), span(R, [z]), span(R, [])]
+    shapes = partitions_up_to_weight(3)
+    pushed_any = False
+    for V in spaces:
+        for lam in shapes:
+            for mu in shapes:
+                least = max(len(lam), len(mu))
+                for k in (least, least + 1):
+                    got = ctx.skew_S(lam, mu, V, k=k)
+                    want, pushed = reference_universal_skew(ctx, lam, mu, V, k)
+                    pushed_any |= pushed
+                    case = (V.describe(), lam, mu, k)
+                    assert got == want, case
+                    assert str(got) == str(want), case
+                    assert got.shift == want.shift, case
+    assert pushed_any
 
 
 def test_skew_vanishes_without_containment():
