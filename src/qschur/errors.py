@@ -35,6 +35,11 @@ class TermLimitExceeded(QschurError):
     configured term-count guard."""
 
 
+class ExponentTooLong(QschurError):
+    """An exponent has more decimal digits than the interpreter converts to
+    text (sys.get_int_max_str_digits)."""
+
+
 class LengthExceeded(QschurError):
     """Partition longer than the staircase it must be added to."""
 

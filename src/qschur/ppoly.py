@@ -43,11 +43,13 @@ leading monomial up in another and keeps it a key when it can.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable
 
 from .errors import (
+    ExponentTooLong,
     FractionalExponent,
     NotDivisible,
     PolyParseError,
@@ -677,19 +679,27 @@ def poly_to_text(p: Poly) -> str:
     n, w = ring.nvars, p.width
     names = ring.names
     parts = []
-    for m in sorted(p.terms, reverse=True):
-        c = p.terms[m]
-        vec = _unpack(m, n, w)
-        if d:
-            factors = [_power_text(name, e, d, q) for name, e in zip(names, vec) if e]
-        else:
-            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, vec) if e]
-        if not factors:
-            parts.append(str(c))
-        elif c.is_one():
-            parts.append("*".join(factors))
-        else:
-            parts.append(str(c) + "*" + "*".join(factors))
+    try:
+        for m in sorted(p.terms, reverse=True):
+            c = p.terms[m]
+            vec = _unpack(m, n, w)
+            if d:
+                factors = [_power_text(name, e, d, q) for name, e in zip(names, vec) if e]
+            else:
+                factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, vec) if e]
+            if not factors:
+                parts.append(str(c))
+            elif c.is_one():
+                parts.append("*".join(factors))
+            else:
+                parts.append(str(c) + "*" + "*".join(factors))
+    except ValueError:
+        # an int too long for str(); nothing else here raises ValueError
+        bits = max(max(_unpack(m, n, w)) for m in p.terms).bit_length()
+        raise ExponentTooLong(
+            f"cannot print an exponent of about {int(bits * 0.30103) + 1} decimal "
+            f"digits, over the interpreter's limit of {sys.get_int_max_str_digits()}"
+        ) from None
     return " + ".join(parts)
 
 

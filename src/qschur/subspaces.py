@@ -13,11 +13,16 @@ linearized recursion f_{U+<v>}(t) = f_U(t)^q - f_U(v)^(q-1) * f_U(t)
 (O. Ore, "On a special class of polynomials", Trans. AMS 35 (1933); D. Goss,
 Basic Structures of Function Field Arithmetic (1996), ch. 1). Applying f_U
 to a basis of V >= U produces the internal quotient of V by U, again a
-subspace of the same ring; each V remembers its quotients.
+subspace of the same ring.
+
+Subspaces are hash-consed (J.-C. Filliatre and S. Conchon, "Type-Safe
+Modular Hash-Consing", ML Workshop 2006): equal subspaces are one object,
+which remembers its quotients, its annihilator, pi and its vectors.
 """
 
 from __future__ import annotations
 
+import weakref
 from itertools import combinations, product
 
 from .errors import (
@@ -55,18 +60,41 @@ def _reduce(v: Poly, basis: list[Poly]) -> Poly:
     return v
 
 
+# The one live Subspace for each (ring, canonical basis).
+_live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class Subspace:
-    """Span of finitely many ring elements, held as a reduced echelon basis."""
+    """Span of finitely many ring elements, held as a reduced echelon basis.
 
-    __slots__ = ("ring", "basis", "_hash", "_text", "_quotients")
+    There is one live object per (ring, canonical basis): span(),
+    enumerate_subspaces(), enumerate_lines(), the hyperplanes of a flag and
+    internal_quotient() all return it, so everything derived from a space
+    is formed once for every caller. It remembers its quotients V // U, its
+    annihilator f_V, pi(V) and its vectors; a remembered value still meets
+    the enumeration ceiling of each later call.
+    """
 
-    def __init__(self, ring: PolyRing, basis: tuple[Poly, ...]):
-        # Trusted constructor; use span() to build from arbitrary vectors.
-        self.ring = ring
-        self.basis = basis
-        self._hash = None
-        self._text = None
-        self._quotients = None  # U -> V // U, filled by internal_quotient
+    __slots__ = ("ring", "basis", "_hash", "_text", "_quotients", "_annihilator",
+                 "_pi", "_vectors", "__weakref__")
+
+    def __new__(cls, ring: PolyRing, basis: tuple[Poly, ...]) -> "Subspace":
+        # Trusted constructor: basis must already be canonical; use span()
+        # to build from arbitrary vectors.
+        key = (ring, basis)
+        self = _live.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.ring = ring
+            self.basis = basis
+            self._hash = hash(key)
+            self._text = None
+            self._quotients = None  # U -> V // U, filled by internal_quotient
+            self._annihilator = None  # f_V, filled by additive_poly
+            self._pi = None  # pi(V), filled by pi_product
+            self._vectors = None  # tuple of enumerate_vectors(V)
+            _live[key] = self
+        return self
 
     @classmethod
     def span(cls, ring: PolyRing, vectors) -> "Subspace":
@@ -112,17 +140,10 @@ class Subspace:
             text = self._text = "; ".join(str(b) for b in self.basis) or "0"
         return text
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return other.ring == self.ring and other.basis == self.basis
-
+    # Equality is identity (the object default). The hash is the value's,
+    # not the address, so the order of a set of subspaces repeats run to run.
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.ring, self.basis))
-            self._hash = h
-        return h
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Subspace({self.describe()})"
@@ -157,7 +178,10 @@ def enumerate_vectors(V: Subspace, ceiling: int | None = None) -> list[Poly]:
     """All q^dim vectors, zero first; coefficients run in field order with
     the first basis vector most significant."""
     _check_ceiling(V.ring.spec.q, V.dim, ceiling)
-    return _linear_combinations(V.ring, V.basis)
+    vectors = V._vectors
+    if vectors is None:
+        vectors = V._vectors = tuple(_linear_combinations(V.ring, V.basis))
+    return list(vectors)
 
 
 def enumerate_lines(V: Subspace, ceiling: int | None = None) -> list[Subspace]:
@@ -253,10 +277,14 @@ def enumerate_flags(V: Subspace, ceiling: int | None = None) -> list[Flag]:
 
 def pi_product(V: Subspace, ceiling: int | None = None) -> Poly:
     """Product of all nonzero vectors of V; one for the zero subspace."""
-    acc = V.ring.one
-    for v in enumerate_vectors(V, ceiling):
-        if v.terms:
-            acc = acc * v
+    _check_ceiling(V.ring.spec.q, V.dim, ceiling)
+    acc = V._pi
+    if acc is None:
+        acc = V.ring.one
+        for v in enumerate_vectors(V, ceiling):
+            if v.terms:
+                acc = acc * v
+        V._pi = acc
     return acc
 
 
@@ -271,6 +299,8 @@ def additive_poly(U: Subspace, ceiling: int | None = None) -> UniPoly:
     Always additive: every t-exponent is a power of q (asserted)."""
     q = U.ring.spec.q
     _check_ceiling(q, U.dim, ceiling)
+    if U._annihilator is not None:
+        return U._annihilator
     zero = U.ring.zero
     a = [U.ring.one]
     for v in U.basis:
@@ -282,6 +312,7 @@ def additive_poly(U: Subspace, ceiling: int | None = None) -> UniPoly:
     f = UniPoly(U.ring, {q**i: ai for i, ai in enumerate(a) if ai.terms})
     if not f.is_q_poly():
         raise NotQPolynomial(f"annihilator has a non-q-power exponent: {f}")
+    U._annihilator = f
     return f
 
 
@@ -290,8 +321,8 @@ def internal_quotient(V: Subspace, U: Subspace, ceiling: int | None = None) -> S
 
     The result has dimension dim V - dim U; losing more is impossible over
     an integral domain and raises DimensionDrop as an internal guard. V
-    keeps every quotient it has formed; a repeated U still meets the
-    enumeration ceiling.
+    keeps every quotient it has formed, and equal spaces are one object;
+    a repeated U still meets the enumeration ceiling.
     """
     if U.ring != V.ring:
         raise RingMismatch("quotient of subspaces over different rings")

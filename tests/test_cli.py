@@ -127,6 +127,23 @@ def test_exit_code_3_on_precondition(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_exponent_too_long_to_print_exits_3(capsys, fmt):
+    # H_r on span(x) at q=2 is x^(2^r - 1): 6,021 digits at r=20000
+    code, out, err = run(capsys, "compute", "H", "--r", "20000", "--field", "q=2",
+                         "--basis", "x", "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: cannot print an exponent of about 6021 decimal digits")
+    assert err.count("\n") == 1 and "internal error" not in err
+    # 4,215 digits still print
+    code, out, err = run(capsys, "compute", "H", "--r", "14000", "--field", "q=2",
+                         "--basis", "x", "--format", fmt)
+    assert code == 0 and err == ""
+    text = json.loads(out)["value"] if fmt == "json" else out.rstrip("\n")
+    assert text == f"x^{2**14000 - 1}"
+
+
 def test_verify_text_summary(capsys):
     code, out, _ = run(capsys, "verify", "--identity", "vl-recursion",
                        "--field", "q=2", "--dim", "2", "--max-weight", "3")

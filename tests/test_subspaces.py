@@ -1,5 +1,9 @@
 """Subspaces over F_q inside a polynomial ring: spans, quotients, products."""
 
+import gc
+import weakref
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -345,8 +349,8 @@ def test_repeated_quotients_agree():
     for U, Q in first.items():
         # an equal denominator built afresh finds the remembered quotient
         assert internal_quotient(V, span(R, list(U.basis))) is Q
-        # a fresh copy of V holds no quotients and forms this one anew
-        assert internal_quotient(span(R, list(V.basis)), U) == Q
+        assert span(R, list(V.basis)) is V
+        assert internal_quotient(span(R, list(V.basis)), U) is Q
 
 
 def test_remembered_quotient_still_meets_the_ceiling():
@@ -384,6 +388,105 @@ def test_describe_is_cached_text():
     assert V.describe() is text
     assert repr(V) == f"Subspace({text})"
     assert Subspace.zero(R).describe() == "0"
+
+
+# One object per subspace, and what it remembers ----------------------------------
+
+
+def test_equal_subspaces_are_one_object():
+    R = setup_ring(q=3, n=3)
+    x, y, z = R.gens()
+    two = R.spec.element(2)
+    V = span(R, [x, y + z * z, z])
+    U = span(R, [x + z, y + z * z])
+    # scaled and permuted spanning vectors
+    assert span(R, [(y + z * z).scale(two), x.scale(two) + z.scale(two)]) is U
+    assert span(R, [x + y + z * z + z, x + z]) is U
+    assert U in enumerate_subspaces(V)
+    assert next(W for W in enumerate_subspaces(V) if W == U) is U
+    assert Subspace.zero(R) is span(R, []) is span(R, [R.zero])
+    assert internal_quotient(V, Subspace.zero(R)) is V
+    Q = internal_quotient(V, span(R, [x]))
+    assert span(R, [b.scale(two) for b in reversed(Q.basis)]) is Q
+    # the same basis text over another field is another space
+    R2 = setup_ring(q=2, n=3)
+    a, b, c = R2.gens()
+    W = span(R2, [a, b])
+    assert W.describe() == span(R, [x, y]).describe()
+    assert W is not span(R, [x, y]) and W != span(R, [x, y])
+
+
+def test_unreferenced_subspaces_are_released():
+    R = ambient_ring(field_spec(5), 2)
+    x, y = R.gens()
+    V = span(R, [x**7 + y**5, y**3])
+    internal_quotient(V, span(R, [y**3]))
+    additive_poly(V)
+    pi_product(V)
+    ref = weakref.ref(V)
+    del V
+    gc.collect()
+    assert ref() is None
+
+
+def plain_vectors(U):
+    """Every F_q-combination of the basis of U, by a loop of its own."""
+    out = []
+    for coeffs in product(U.ring.spec.elements, repeat=U.dim):
+        v = U.ring.zero
+        for c, b in zip(coeffs, U.basis):
+            v = v + b.scale(c)
+        out.append(v)
+    return out
+
+
+REMEMBERED_SPACES = [("q=2", "x; y + x^2; z*y"), ("q=3", "x; y + z^2; z"),
+                     ("q=2^2", "x; y + [1,1]*x; z")]
+
+
+@pytest.mark.parametrize("ftext,basis", REMEMBERED_SPACES)
+def test_remembered_values_match_references(ftext, basis):
+    R = ambient_ring(parse_field_spec(ftext), 3)
+    V = span(R, [R.parse(v) for v in basis.split("; ")])
+    assert V.dim == 3
+    for U in enumerate_subspaces(V):
+        f = additive_poly(U)
+        assert additive_poly(U) is f
+        ref = product_annihilator(U)
+        assert f == ref and str(f) == str(ref)
+        pi = pi_product(U)
+        assert pi_product(U) is pi
+        plain = R.one
+        for v in plain_vectors(U):
+            if v.terms:
+                plain = plain * v
+        assert pi == plain
+        assert enumerate_vectors(U) == enumerate_vectors(U) == plain_vectors(U)
+
+
+def test_remembered_values_still_meet_the_ceiling():
+    R = setup_ring(q=2, n=3)
+    U = span(R, R.gens())
+    f, pi, vectors = additive_poly(U), pi_product(U), enumerate_vectors(U)
+    for call in (additive_poly, pi_product, enumerate_vectors):
+        with pytest.raises(EnumerationTooLarge):
+            call(U, ceiling=7)
+    assert additive_poly(U, ceiling=8) is f
+    assert pi_product(U, ceiling=8) is pi
+    assert enumerate_vectors(U, ceiling=8) == vectors
+
+
+def test_vector_lists_are_fresh():
+    R = setup_ring(q=3, n=2)
+    x, y = R.gens()
+    V = span(R, [x, y])
+    vectors = enumerate_vectors(V)
+    expected = list(vectors)
+    assert enumerate_vectors(V) is not vectors
+    vectors.pop()
+    vectors[0] = x
+    assert enumerate_vectors(V) == expected
+    assert len(enumerate_lines(V)) == 4
 
 
 # Enumerating subspaces by reduced echelon form --------------------------------

@@ -217,23 +217,26 @@ def test_failures_render_both_sides(monkeypatch, identity):
         return
     if identity == "quotient-tower":
         # the direct quotient gains the constant 1; the corruption sits in
-        # internal_quotient itself, so no remembered quotient can hide it
-        U, T = span(R, [R.gens()[0]]), Subspace.zero(R)
+        # internal_quotient itself, so no remembered quotient can hide it.
+        # T is a line, so the two-step route never forms V // U (with T = 0,
+        # V // T would be V itself and meet the corruption too).
+        x, y = R.gens()
+        W, U, T = span(R, [x, y, x * y]), span(R, [x, y]), span(R, [x])
         honest_quot = subspaces.internal_quotient
 
         def corrupt_quot(A, B, ceiling=None):
             Q = honest_quot(A, B, ceiling)
-            if A is V and B is U:
+            if A is W and B is U:
                 return span(R, list(Q.basis) + [R.one])
             return Q
 
-        honest_quot(V, U)  # V already holds the honest quotient
+        honest_quot(W, U)  # W already holds the honest quotient
         monkeypatch.setattr(subspaces, "internal_quotient", corrupt_quot)
-        rep = check_quotient_tower(V, U, T, 3)
+        rep = check_quotient_tower(W, U, T, 3)
         assert rep.status == "fail"
         assert rep.lhs and rep.rhs and rep.lhs != rep.rhs, rep
-        assert rep.lhs == span(R, list(honest_quot(V, U).basis) + [R.one]).describe()
-        assert rep.rhs == honest_quot(V, U).describe()
+        assert rep.lhs == span(R, list(honest_quot(W, U).basis) + [R.one]).describe()
+        assert rep.rhs == honest_quot(W, U).describe()
         return
     if identity == "hook-step":
         honest_pi = subspaces.pi_product
