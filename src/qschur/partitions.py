@@ -132,16 +132,27 @@ def perm_witness(alpha, beta, sigma) -> int | None:
     n = len(alpha)
     if len(beta) != n or len(sigma) != n:
         raise HypothesisViolated("alpha, beta, sigma must have one common length")
-    identity = tuple(range(n))
-    if tuple(sorted(sigma)) != identity:
-        raise HypothesisViolated(f"{sigma} is not a permutation of 0..{n - 1}")
+    _check_permutation(sigma)
     _check_witness_pair(alpha, beta)
-    if sigma == identity:
-        return None
+    # the pair hypotheses leave the identity no witness, so the scan comes
+    # first and only a scan that finds none compares sigma with it
     for i in range(n):
         if alpha[i] - beta[sigma[i]] not in (0, 1):
             return i
+    if sigma == tuple(range(n)):
+        return None
     raise AssertionError("non-identity permutation without a witness")
+
+
+@lru_cache(maxsize=1024)
+def _check_permutation(sigma: tuple) -> None:
+    """The sigma hypothesis of perm_witness, checked once per sigma: a
+    search meets every permutation of its size again for each pair, and
+    1024 slots hold all 873 of sizes 1 to 6. A non-permutation raises on
+    every call, since lru_cache never stores a raised call."""
+    n = len(sigma)
+    if tuple(sorted(sigma)) != tuple(range(n)):
+        raise HypothesisViolated(f"{sigma} is not a permutation of 0..{n - 1}")
 
 
 @lru_cache(maxsize=1)

@@ -648,13 +648,20 @@ def sum_of_products(ring: PolyRing, triples: Iterable) -> Poly:
             raise RingMismatch("scalar from a different field")
         if c.idx and a.terms and b.terms:
             live.append((c.idx, a, b))
+    return _fused(ring, live, "sum of products")
+
+
+def _fused(ring: PolyRing, live: list, what: str) -> Poly:
+    """sum_of_products on checked (coefficient index, a, b) triples with
+    nonzero parts; what names the sum in a TermLimitExceeded message."""
     if not live:
         return ring.zero
+    spec = ring.spec
     d = max(max(a.shift, b.shift) for _, a, b in live)
     w = _width(max(_top(a, d) + _top(b, d) for _, a, b in live))
     out: dict = {}
     for ci, a, b in live:
-        _accumulate(out, _aligned(a, d, w), _aligned(b, d, w), ci, spec, "sum of products")
+        _accumulate(out, _aligned(a, d, w), _aligned(b, d, w), ci, spec, what)
     elems = spec.elements
     return _poly(ring, dict(zip(out, map(elems.__getitem__, out.values()))), d, w)
 
@@ -875,6 +882,20 @@ def evaluate_morphism(
     the images must all live in one ring over the same field, which becomes
     the target. target_ring is only needed for zero-variable sources. A
     result over the term limit raises TermLimitExceeded.
+
+    Bare-variable images relabel keys. Other images go by a q-adic Horner
+    scheme: write each exponent vector as D + q * e with D its lowest
+    base-q digits, and p_D for the sum of the terms with digits D, written
+    with exponents e. Then
+
+        p(images) = sum over D of images^D * phi(p_D(images)),
+
+    where phi raises every exponent by the factor q, since over F_q
+    phi(f) = f^q for every f (Lidl and Niederreiter, Finite Fields, ch. 2).
+    Applied level by level, in a loop over the digits, this multiplies out
+    only the digit monomials images^D, whose entries are below q, once per
+    call; each node adds its terms in one sum of products, and phi only
+    rescales keys.
     """
     ring = p.ring
     if ring.kind != "universal":
@@ -900,7 +921,6 @@ def evaluate_morphism(
         raise FractionalExponent("substitution requires integer exponents")
     spec = tring.spec
     add_t = spec.add_table
-    mul_t = spec.mul_table
     elems = spec.elements
     limit = _term_limit
     n, nt, w = ring.nvars, tring.nvars, p.width
@@ -930,42 +950,55 @@ def evaluate_morphism(
                 else:
                     del acc[mm]
         return _poly(tring, {m: elems[i] for m, i in acc.items()}, 0, w)
-    # Images may carry fractional exponents; every piece is written over the
-    # largest image shift, at the width of the largest piece degree.
-    d = max((im.shift for im in images), default=0)
-    source = [(_unpack(m, n, w), c) for m, c in p.terms.items()]
-    image_degrees = [_top(im, d) if im.terms else 0 for im in images]
-    tw = _width(max(
-        (sum(e * g for e, g in zip(v, image_degrees)) for v, _ in source), default=0
-    ))
-    acc = {}
-    get = acc.get
-    pow_cache: dict[tuple[int, int], Poly] = {}
-    for m, c in source:
-        piece = tring.one
-        for var, e in enumerate(m):
-            if not e:
+    if not p.terms:
+        return tring.zero
+    # One pass per base-q digit, highest first. After the pass for digit k,
+    # values maps each residue r = v mod q^k of the exponent vectors v to
+    # p_r(images), where p_r holds the terms with v = r (mod q^k), written
+    # with exponents (v - r) / q^k. A value is a coefficient, or (P, j) for
+    # phi^j(P), so a run of zero digits costs one rescale at its end.
+    q = spec.q
+    values = {_unpack(m, n, w): c for m, c in p.terms.items()}
+    top, digits = max(map(max, values)), 0
+    while top:
+        top //= q
+        digits += 1
+    powers = [[tring.one, im] for im in images]
+    monos: dict = {}
+    for k in reversed(range(digits)):
+        f = q**k
+        nodes: dict = {}
+        for r, v in values.items():
+            nodes.setdefault(tuple(e % f for e in r), []).append((tuple(e // f for e in r), v))
+        values = {}
+        for r, kids in nodes.items():
+            if len(kids) == 1 and not any(kids[0][0]):
+                v = kids[0][1]
+                values[r] = v if isinstance(v, FieldElement) else (v[0], v[1] + 1)
                 continue
-            pw = pow_cache.get((var, e))
-            if pw is None:
-                pw = images[var] ** e
-                pow_cache[(var, e)] = pw
-            piece = pw if piece is tring.one else piece * pw
-        crow = mul_t[c.idx]
-        for mm, cc in _aligned(piece, d, tw).items():
-            v = crow[cc.idx]
-            prev = get(mm)
-            if prev is None:
-                acc[mm] = v
-            else:
-                s = add_t[prev][v]
-                if s:
-                    acc[mm] = s
+            live = []
+            for D, v in kids:
+                a = monos.get(D)
+                if a is None:
+                    # images^D, multiplied out once per call
+                    a = tring.one
+                    for row, e in zip(powers, D):
+                        while len(row) <= e:
+                            row.append(row[-1] * row[1])
+                        if e:
+                            a = row[e] if a is tring.one else a * row[e]
+                    monos[D] = a
+                if isinstance(v, FieldElement):
+                    ci, b = v.idx, tring.one
                 else:
-                    del acc[mm]
-        if len(acc) > limit:
-            raise _over_limit("substitution", len(acc))
-    return _poly(tring, {m: elems[i] for m, i in acc.items()}, d, tw)
+                    ci, b = 1, v[0].frobenius(v[1] + 1)
+                if a.terms and b.terms:
+                    live.append((ci, a, b))
+            values[r] = (_fused(tring, live, "substitution"), 0)
+    v, = values.values()
+    if isinstance(v, FieldElement):
+        return tring.from_coeff(v)
+    return v[0].frobenius(v[1])
 
 
 class UniPoly:

@@ -17,7 +17,8 @@ subspace of the same ring.
 
 Subspaces are hash-consed (J.-C. Filliatre and S. Conchon, "Type-Safe
 Modular Hash-Consing", ML Workshop 2006): equal subspaces are one object,
-which remembers its quotients, its annihilator, pi and its vectors.
+which remembers its quotients, its annihilator, pi, its vectors and its
+hyperplanes.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from .errors import (
     NotQPolynomial,
     NotSubspace,
     RingMismatch,
+    TermLimitExceeded,
 )
-from .ppoly import Poly, PolyRing, UniPoly, sum_of_products
+from .ppoly import Poly, PolyRing, UniPoly, get_term_limit, sum_of_products
 
 DEFAULT_ENUMERATION_CEILING = 243
 _ceiling = DEFAULT_ENUMERATION_CEILING
@@ -71,12 +73,13 @@ class Subspace:
     enumerate_subspaces(), enumerate_lines(), the hyperplanes of a flag and
     internal_quotient() all return it, so everything derived from a space
     is formed once for every caller. It remembers its quotients V // U, its
-    annihilator f_V, pi(V) and its vectors; a remembered value still meets
-    the enumeration ceiling of each later call.
+    annihilator f_V, pi(V), its vectors and its hyperplanes; a remembered
+    value still meets the enumeration ceiling and the term limit of each
+    later call.
     """
 
     __slots__ = ("ring", "basis", "_hash", "_text", "_quotients", "_annihilator",
-                 "_pi", "_vectors", "__weakref__")
+                 "_pi", "_vectors", "_hyperplanes", "__weakref__")
 
     def __new__(cls, ring: PolyRing, basis: tuple[Poly, ...]) -> "Subspace":
         # Trusted constructor: basis must already be canonical; use span()
@@ -93,6 +96,7 @@ class Subspace:
             self._annihilator = None  # f_V, filled by additive_poly
             self._pi = None  # pi(V), filled by pi_product
             self._vectors = None  # tuple of enumerate_vectors(V)
+            self._hyperplanes = None  # tuple of _hyperplanes(V)
             _live[key] = self
         return self
 
@@ -159,6 +163,16 @@ def _check_ceiling(q: int, dim: int, ceiling: int | None) -> None:
         raise EnumerationTooLarge(
             f"enumerating q^dim = {q}^{dim} vectors exceeds the ceiling {cap}"
         )
+
+
+def _check_term_limit(what: str, polys) -> None:
+    """Raise TermLimitExceeded when one of polys holds more terms than the
+    limit. Remembered values are checked on every call, so whether a call
+    raises does not depend on what ran before it."""
+    limit = get_term_limit()
+    for p in polys:
+        if len(p.terms) > limit:
+            raise TermLimitExceeded(f"{what} holds {len(p.terms)} terms, over the limit {limit}")
 
 
 def _linear_combinations(ring: PolyRing, vectors) -> list[Poly]:
@@ -230,14 +244,18 @@ class Flag:
         return "Flag(" + " > ".join(s.describe() for s in self.chain) + ")"
 
 
-def _hyperplanes(V: Subspace) -> list[Subspace]:
-    """All codimension-1 subspaces of V, in a deterministic order.
+def _hyperplanes(V: Subspace, ceiling: int | None = None) -> tuple[Subspace, ...]:
+    """All codimension-1 subspaces of V, in a deterministic order, formed
+    once per V.
 
     Each hyperplane is the kernel of a covector on the basis coordinates;
     covectors are normalized so the first nonzero coordinate is one and are
     enumerated in field order.
     """
     spec = V.ring.spec
+    _check_ceiling(spec.q, V.dim, ceiling)
+    if V._hyperplanes is not None:
+        return V._hyperplanes
     n = V.dim
     out = []
     for alpha in product(spec.elements, repeat=n):
@@ -250,7 +268,8 @@ def _hyperplanes(V: Subspace) -> list[Subspace]:
                 continue
             vectors.append(V.basis[j] - V.basis[pivot].scale(alpha[j]))
         out.append(Subspace.span(V.ring, vectors))
-    return out
+    V._hyperplanes = tuple(out)
+    return V._hyperplanes
 
 
 def enumerate_flags(V: Subspace, ceiling: int | None = None) -> list[Flag]:
@@ -262,7 +281,7 @@ def enumerate_flags(V: Subspace, ceiling: int | None = None) -> list[Flag]:
         if W.dim == 0:
             return [(W,)]
         chains = []
-        for H in _hyperplanes(W):
+        for H in _hyperplanes(W, ceiling):
             for tail in rec(H):
                 chains.append((W,) + tail)
         return chains
@@ -285,6 +304,7 @@ def pi_product(V: Subspace, ceiling: int | None = None) -> Poly:
             if v.terms:
                 acc = acc * v
         V._pi = acc
+    _check_term_limit("pi", [acc])
     return acc
 
 
@@ -299,20 +319,21 @@ def additive_poly(U: Subspace, ceiling: int | None = None) -> UniPoly:
     Always additive: every t-exponent is a power of q (asserted)."""
     q = U.ring.spec.q
     _check_ceiling(q, U.dim, ceiling)
-    if U._annihilator is not None:
-        return U._annihilator
-    zero = U.ring.zero
-    a = [U.ring.one]
-    for v in U.basis:
-        b = sum_of_products(U.ring, [(1, ai, v.frobenius(i)) for i, ai in enumerate(a)])
-        c = b ** (q - 1)
-        # the new top coefficient a_(k-1)^q has no c * a_k part
-        top = a[-1].frobenius(1)
-        a = [prev.frobenius(1) - c * cur for prev, cur in zip([zero] + a, a)] + [top]
-    f = UniPoly(U.ring, {q**i: ai for i, ai in enumerate(a) if ai.terms})
-    if not f.is_q_poly():
-        raise NotQPolynomial(f"annihilator has a non-q-power exponent: {f}")
-    U._annihilator = f
+    f = U._annihilator
+    if f is None:
+        zero = U.ring.zero
+        a = [U.ring.one]
+        for v in U.basis:
+            b = sum_of_products(U.ring, [(1, ai, v.frobenius(i)) for i, ai in enumerate(a)])
+            c = b ** (q - 1)
+            # the new top coefficient a_(k-1)^q has no c * a_k part
+            top = a[-1].frobenius(1)
+            a = [prev.frobenius(1) - c * cur for prev, cur in zip([zero] + a, a)] + [top]
+        f = UniPoly(U.ring, {q**i: ai for i, ai in enumerate(a) if ai.terms})
+        if not f.is_q_poly():
+            raise NotQPolynomial(f"annihilator has a non-q-power exponent: {f}")
+        U._annihilator = f
+    _check_term_limit("annihilator coefficient", f.coeffs.values())
     return f
 
 
@@ -322,7 +343,7 @@ def internal_quotient(V: Subspace, U: Subspace, ceiling: int | None = None) -> S
     The result has dimension dim V - dim U; losing more is impossible over
     an integral domain and raises DimensionDrop as an internal guard. V
     keeps every quotient it has formed, and equal spaces are one object;
-    a repeated U still meets the enumeration ceiling.
+    a repeated U still meets the enumeration ceiling and the term limit.
     """
     if U.ring != V.ring:
         raise RingMismatch("quotient of subspaces over different rings")
@@ -331,6 +352,7 @@ def internal_quotient(V: Subspace, U: Subspace, ceiling: int | None = None) -> S
         Q = memo.get(U)
         if Q is not None:
             _check_ceiling(V.ring.spec.q, U.dim, ceiling)
+            _check_term_limit("quotient basis vector", Q.basis)
             return Q
     if not V.contains(U):
         raise NotSubspace(
@@ -346,6 +368,7 @@ def internal_quotient(V: Subspace, U: Subspace, ceiling: int | None = None) -> S
     if memo is None:
         memo = V._quotients = {}
     memo[U] = Q
+    _check_term_limit("quotient basis vector", Q.basis)
     return Q
 
 

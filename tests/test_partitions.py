@@ -238,6 +238,17 @@ def test_perm_witness_keeps_check_order_for_a_remembered_pair():
     assert perm_witness(list(alpha), list(beta), [0, 1]) is None
 
 
+def test_perm_witness_non_permutation_raises_every_time():
+    alpha, beta = (3, 1), (2, 1)
+    for _ in range(3):
+        for sigma in [(1, 1), (0, 2), (-1, 0)]:
+            with pytest.raises(HypothesisViolated, match="not a permutation"):
+                perm_witness(alpha, beta, sigma)
+        # a good sigma between bad ones is remembered and stays good
+        assert perm_witness(alpha, beta, (1, 0)) == 0
+        assert perm_witness(alpha, beta, (0, 1)) is None
+
+
 def test_perm_witness_bad_pair_raises_every_time():
     for sigma in [(0, 1), (1, 0), (0, 1), (1, 0)]:
         with pytest.raises(HypothesisViolated, match="strictly decreasing"):

@@ -810,3 +810,126 @@ def test_coeff_at_leading_matches_the_vector_route(ftext, data, i, j):
         # the leading term of b is found in a sum at another width and shift
         s = v + b.scale(2)
         assert s.coeff_at_leading(b) == s.coeff_of(b.leading_monomial())
+
+
+# Substitution by the q-adic Horner scheme ----------------------------------
+
+SUBSTITUTION_FIELDS = ["q=2", "q=3", "q=2^2", "q=5", "q=3^2"]
+
+
+def reference_substitution(p, images, target):
+    """p(images) by the per-term expansion: every term's monomial in the
+    images multiplied out in full, then scaled and added."""
+    out = target.zero
+    for v, c in vectors(p).items():
+        piece = target.one
+        for im, e in zip(images, v):
+            piece = piece * im**e
+        out = out + piece.scale(c)
+    return out
+
+
+@st.composite
+def digit_sources(draw, ring, max_terms=5, depth=3, huge=True):
+    """A random source whose exponents have up to depth base-q digits, each
+    at most 2; with huge, now and then one exponent is q^k, k up to 40."""
+    spec = ring.spec
+    q = spec.q
+    digit = st.integers(0, min(q - 1, 2))
+    terms = []
+    for _ in range(draw(st.integers(0, max_terms))):
+        v = [sum(draw(digit) * q**k for k in range(depth)) for _ in range(ring.nvars)]
+        if huge and draw(st.integers(0, 7)) == 0:
+            v[draw(st.integers(0, ring.nvars - 1))] = q ** draw(st.integers(3, 40))
+        terms.append((v, spec.elements[draw(st.integers(1, q - 1))]))
+    return ring.from_terms(terms)
+
+
+@st.composite
+def substitution_images(draw, target, count):
+    """count images of one kind: dense linear forms, multi-term polynomials,
+    fractional ones, or any of these with one image zero."""
+    spec = target.spec
+    kind = draw(st.sampled_from(["linear", "random", "fractional", "zero"]))
+    images = []
+    for _ in range(count):
+        if kind == "linear":
+            im = target.zero
+            for g in target.gens():
+                im = im + g.scale(spec.elements[draw(st.integers(0, spec.q - 1))])
+        else:
+            im = draw(polys(target, max_terms=3, max_exp=2))
+            if kind == "fractional":
+                im = im.frobenius(-draw(st.integers(0, 2)))
+        images.append(im)
+    if kind == "zero" and images:
+        images[draw(st.integers(0, count - 1))] = target.zero
+    return images
+
+
+@pytest.mark.parametrize("ftext", SUBSTITUTION_FIELDS)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_substitution_matches_the_per_term_expansion(ftext, data, n):
+    spec = parse_field_spec(ftext)
+    U, A = universal_ring(spec, n), ambient_ring(spec, 3)
+    p = data.draw(digit_sources(U))
+    images = data.draw(substitution_images(A, n))
+    got = evaluate_morphism(p, images, target_ring=A)
+    agree_fully(got, reference_substitution(p, images, A))
+    assert got.ring is A
+
+
+@pytest.mark.parametrize("ftext", ["q=2", "q=3", "q=5"])
+@given(data=st.data(), n=st.integers(1, 3))
+def test_substitution_matches_sympy_composition(ftext, data, n):
+    spec = parse_field_spec(ftext)
+    U, A = universal_ring(spec, n), ambient_ring(spec, 2)
+    p = data.draw(digit_sources(U, max_terms=4, depth=2, huge=False))
+    images = [data.draw(polys(A, max_terms=3, max_exp=2)) for _ in range(n)]
+    xs = sympy.symbols(f"X1:{n + 1}")
+    ys = sympy.symbols("Y Z")
+    composed = to_sympy(p, xs).as_expr().subs(
+        {X: to_sympy(im, ys).as_expr() for X, im in zip(xs, images)}, simultaneous=True)
+    want = sympy.Poly(composed, *ys, modulus=spec.p)
+    assert evaluate_morphism(p, images, target_ring=A) == from_sympy(want, A)
+
+
+@pytest.mark.parametrize("ftext", SUBSTITUTION_FIELDS)
+def test_substitution_edge_cases(ftext):
+    spec = parse_field_spec(ftext)
+    q = spec.q
+    U, A = universal_ring(spec, 2), ambient_ring(spec, 2)
+    x1, x2 = U.gens()
+    x, y = A.gens()
+    images = [x + y, x.scale(spec.elements[q - 1]) + y.frobenius(-1)]
+    # a constant source, and the zero source
+    c = spec.elements[q - 1]
+    assert evaluate_morphism(U.from_coeff(c), images) == A.from_coeff(c)
+    assert evaluate_morphism(U.zero, images) is A.zero
+    # a zero image kills every term that uses it
+    got = evaluate_morphism(x1**2 * x2 + x2**3 + x1, [A.zero, x + y])
+    assert got == (x + y) ** 3
+    # an exponent of 1500 base-q digits: the levels run in a loop, and a
+    # run of zero digits costs one rescale
+    k = 1500
+    p = x1 ** (q**k) * x2 + x1
+    got = evaluate_morphism(p, images)
+    agree_fully(got, images[0].frobenius(k) * images[1] + images[0])
+
+
+def test_substitution_over_the_term_limit_names_the_substitution():
+    spec = field_spec(3)
+    U, A = universal_ring(spec, 2), ambient_ring(spec, 3)
+    x1, x2 = U.gens()
+    x, y, z = A.gens()
+    p = sum((x1**i * x2**j for i in range(3) for j in range(3)), U.zero)
+    images = [x + y + z, x + 2 * y + z]
+    full = evaluate_morphism(p, images)
+    assert full == reference_substitution(p, images, A)
+    saved = get_term_limit()
+    try:
+        set_term_limit(len(full.terms) - 1)
+        with pytest.raises(TermLimitExceeded, match="substitution holds"):
+            evaluate_morphism(p, images)
+    finally:
+        set_term_limit(saved)

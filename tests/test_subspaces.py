@@ -12,13 +12,15 @@ from qschur.errors import (
     EnumerationTooLarge,
     NotSubspace,
     RingMismatch,
+    TermLimitExceeded,
 )
 from qschur.gf import field_spec, parse_field_spec
-from qschur.ppoly import UniPoly, ambient_ring
+from qschur.ppoly import UniPoly, ambient_ring, get_term_limit, set_term_limit
 from qschur.subspaces import (
     DEFAULT_ENUMERATION_CEILING,
     Flag,
     Subspace,
+    _hyperplanes,
     additive_poly,
     coset_product_check,
     enumerate_flags,
@@ -474,6 +476,49 @@ def test_remembered_values_still_meet_the_ceiling():
     assert additive_poly(U, ceiling=8) is f
     assert pi_product(U, ceiling=8) is pi
     assert enumerate_vectors(U, ceiling=8) == vectors
+
+
+def test_remembered_values_meet_the_term_limit():
+    R = setup_ring(q=3, n=3)
+    x, y, z = R.gens()
+    V, U = span(R, [x, y, z]), span(R, [x, y])
+    pi, f, Q = pi_product(V), additive_poly(U), internal_quotient(V, U)
+    assert len(pi.terms) == 21
+    assert max(len(c.terms) for c in f.coeffs.values()) == 4
+    assert len(Q.basis[0].terms) == 8
+    saved = get_term_limit()
+    try:
+        set_term_limit(5)
+        with pytest.raises(TermLimitExceeded, match="pi holds 21 terms, over the limit 5"):
+            pi_product(V)
+        with pytest.raises(TermLimitExceeded, match="quotient basis vector holds 8 terms"):
+            internal_quotient(V, U)
+        set_term_limit(3)
+        with pytest.raises(TermLimitExceeded, match="annihilator coefficient holds 4 terms"):
+            additive_poly(U)
+        set_term_limit(21)
+        assert pi_product(V) is pi
+    finally:
+        set_term_limit(saved)
+    assert additive_poly(U) is f
+    assert internal_quotient(V, U) is Q
+
+
+def test_hyperplanes_are_formed_once_and_meet_the_ceiling():
+    R = setup_ring(q=3, n=3)
+    V = span(R, R.gens())
+    flags = enumerate_flags(V)
+    H = _hyperplanes(V)
+    assert len(H) == 13
+    assert _hyperplanes(V) is H
+    assert all(_hyperplanes(W) is _hyperplanes(W) for W in H)
+    with pytest.raises(EnumerationTooLarge):
+        _hyperplanes(V, ceiling=26)
+    with pytest.raises(EnumerationTooLarge):
+        enumerate_flags(V, ceiling=26)
+    assert _hyperplanes(V, ceiling=27) is H
+    assert enumerate_flags(V) == flags
+    assert len({f.chain[1] for f in flags}) == 13
 
 
 def test_vector_lists_are_fresh():
