@@ -174,7 +174,10 @@ def _check_witness_pair(alpha: tuple, beta: tuple) -> None:
 
 def partitions_up_to_weight(max_weight: int, max_length: int | None = None) -> list[Partition]:
     """All partitions of weight <= max_weight (and length <= max_length),
-    ordered by weight then lexicographically."""
+    ordered by weight then lexicographically. A negative max_length admits
+    no partition."""
+    if max_length is not None and max_length < 0:
+        return []
     out: list[Partition] = [()]
     for w in range(1, max_weight + 1):
         batch: list[Partition] = []

@@ -25,13 +25,7 @@ import threading
 from typing import Sequence
 
 from . import fmatrix, partitions, subspaces
-from .errors import (
-    HypothesisViolated,
-    LengthTooLong,
-    NotALine,
-    NotSubspace,
-    ZeroVector,
-)
+from .errors import LengthTooLong, NotSubspace, ZeroVector
 from .gf import FieldSpec
 from .partitions import Partition
 from .ppoly import Poly, PolyRing, evaluate_morphism, sum_of_products, universal_ring
@@ -87,8 +81,7 @@ class SchurContext:
     - S_lam/mu(V) (skew_S): the twisted determinant over the H_r on V's own
       basis, on every basis; tilde_S likewise over the E_r;
     - schur_on_basis: the universal quotient substituted onto an explicit
-      spanning list; schur_direct: alternants formed on the basis itself and
-      divided there (a reference for tests only).
+      spanning list.
 
     What each identity of qschur.verify compares a value against (the sweep
     runs on bare-variable bases, whose quotients V // U have dense bases):
@@ -165,30 +158,6 @@ class SchurContext:
         if n == 0:
             return ring.one
         return evaluate_morphism(self.universal_schur(lam, n), list(vectors))
-
-    def _alternant_on(self, vectors: Sequence[Poly], alpha: Sequence[int], ring: PolyRing) -> Poly:
-        """det(v_i ** q**alpha_j) for explicit vectors in their own ring."""
-        rows = [[v.frobenius(a) for a in alpha] for v in vectors]
-        return fmatrix.det(fmatrix.PolyMatrix(ring, rows))
-
-    def schur_direct(self, lam: Partition, V: Subspace) -> Poly:
-        """Straight value by dividing alternants formed on the basis itself.
-
-        Slower than schur_S but shares no code path with the universal
-        quotient, so the two serve as cross-checks on each other.
-        """
-        lam = partitions.partition(lam)
-        n = V.dim
-        if len(lam) > n:
-            return V.ring.zero
-        if n == 0:
-            return V.ring.one
-        from .ppoly import exact_div
-
-        basis = list(V.basis)
-        top = self._alternant_on(basis, partitions.pad_and_add(lam, n), V.ring)
-        bottom = self._alternant_on(basis, partitions.delta(n), V.ring)
-        return exact_div(top, bottom)
 
     def schur_S(self, lam: Partition, V: Subspace) -> Poly:
         """The straight value S_lam(V); zero when lam is longer than dim V."""
@@ -296,31 +265,14 @@ class SchurContext:
             tag=f"E[{V.describe()}]",
         )
 
-    def he_inverse_check(self, V: Subspace, lo: int, hi: int) -> bool:
-        """The H and E arrays are mutually inverse on any window."""
-        prod = fmatrix.window_product(self.h_matrix(V), self.e_matrix(V), lo, hi)
-        return prod.is_identity()
-
-    def quotient_factorization_check(self, V: Subspace, U: Subspace) -> bool:
-        """H-array of V equals H-array of V // U times the m-twisted H-array
-        of U, with m = dim V - dim U, on the window [-(dim V + 3), dim V + 3]."""
-        if not V.contains(U):
-            raise NotSubspace("factorization check requires U <= V")
-        Q = subspaces.internal_quotient(V, U)
-        m = V.dim - U.dim
-        lo, hi = -(V.dim + 3), V.dim + 3
-        prod = fmatrix.window_product(self.h_matrix(Q), self.h_matrix(U, twist=m), lo, hi)
-        direct = fmatrix.window_of(self.h_matrix(V), lo, hi)
-        return prod == direct
-
     # Expansions -----------------------------------------------------------
 
-    def coproduct_expand(self, lam: Partition, mu: Partition, V: Subspace, U: Subspace):
+    def coproduct_expand(self, lam: Partition, mu: Partition, V: Subspace, U: Subspace) -> Poly:
         """Expansion of the skew value on V // U through values on V and U.
 
-        Returns (addends, total): for each nu between mu and lam the addend
+        Sum over nu between mu and lam of
         (-1)^(|lam| - |nu|) S_(nu/mu)(V) phi^m tilde_S_(lam/nu)(U), with
-        m = dim V - dim U. The total equals skew_S(lam, mu, V // U).
+        m = dim V - dim U. It equals skew_S(lam, mu, V // U).
         """
         lam = partitions.partition(lam)
         mu = partitions.partition(mu)
@@ -328,16 +280,11 @@ class SchurContext:
             raise NotSubspace("coproduct expansion requires U <= V")
         m = V.dim - U.dim
         spec = self.spec
-        addends = []
-        total = V.ring.zero
-        for nu in partitions.subpartitions_between(mu, lam):
-            term = (
-                self.skew_S(nu, mu, V)
-                * self.tilde_S(lam, nu, U).frobenius(m)
-            ).scale(spec.sign(partitions.weight(lam) - partitions.weight(nu)))
-            addends.append((nu, term))
-            total = total + term
-        return addends, total
+        return sum_of_products(V.ring, [
+            (spec.sign(partitions.weight(lam) - partitions.weight(nu)),
+             self.skew_S(nu, mu, V), self.tilde_S(lam, nu, U).frobenius(m))
+            for nu in partitions.subpartitions_between(mu, lam)
+        ])
 
     def pieri_expand(self, lam: Partition, mu: Partition, V: Subspace, ell: Poly) -> Poly:
         """Vertical-strip expansion of the skew value on V // span(ell).
@@ -374,13 +321,3 @@ class SchurContext:
         return (
             subspaces.pi_product(V) * self.schur_S(reduced, V) ** q
         ).scale(self.spec.sign(n))
-
-    def hook_step_check(self, U: Subspace, r: int) -> bool:
-        """On a line U: pi(U) * phi(H_(r-1)(U)) == -H_r(U), for r >= 1."""
-        if U.dim != 1:
-            raise NotALine(f"hook step needs dim 1, got {U.dim}")
-        if r < 1:
-            raise HypothesisViolated(f"hook step needs r >= 1, got {r}")
-        lhs = subspaces.pi_product(U) * self.h_r(r - 1, U).frobenius(1)
-        rhs = -self.h_r(r, U)
-        return lhs == rhs

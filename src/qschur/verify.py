@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
 from . import fmatrix, partitions, subspaces
-from .errors import ConfigInvalid, NotDivisible, QschurError
+from .errors import (
+    ConfigInvalid,
+    HypothesisViolated,
+    NotALine,
+    NotDivisible,
+    NotSubspace,
+    QschurError,
+)
 from .gf import FieldSpec, parse_field_spec, power_sum
 from .ppoly import (
     Poly,
@@ -116,21 +123,23 @@ class CaseReport:
         return (self.identity, self.q, self.n, self.lam, self.mu, self.basis)
 
 
-def _case(identity, ctx_q, V_or_n, lam, mu, t0, ok, lhs_text, rhs_text) -> CaseReport:
-    """Assemble a report; sides are only rendered on failure."""
+def _case(identity, ctx_q, V_or_n, lam, mu, t0, ok, lhs_text, rhs_text,
+          basis=None) -> CaseReport:
+    """Assemble a report; sides are only rendered on failure. basis defaults
+    to the description of V, or to "" when a dimension is given."""
     if isinstance(V_or_n, Subspace):
         n = V_or_n.dim
-        basis = V_or_n.describe()
+        if basis is None:
+            basis = V_or_n.describe()
     else:
         n = V_or_n
-        basis = ""
     rep = CaseReport(
         identity=identity,
         q=ctx_q,
         n=n,
         lam=tuple(lam),
         mu=tuple(mu),
-        basis=basis,
+        basis=basis or "",
         millis=int((time.perf_counter() - t0) * 1000),
     )
     if not ok:
@@ -233,7 +242,7 @@ def check_coproduct(ctx: SchurContext, lam, mu, V: Subspace, U: Subspace) -> Cas
     t0 = time.perf_counter()
     lam = partitions.partition(lam)
     mu = partitions.partition(mu)
-    _, total = ctx.coproduct_expand(lam, mu, V, U)
+    total = ctx.coproduct_expand(lam, mu, V, U)
     lhs = ctx.skew_S(lam, mu, internal_quotient(V, U))
     return _case("coproduct", ctx.spec.q, V, lam, mu, t0,
                  lhs == total, lambda: str(lhs), lambda: str(total))
@@ -242,58 +251,47 @@ def check_coproduct(ctx: SchurContext, lam, mu, V: Subspace, U: Subspace) -> Cas
 # Matrix calculus ----------------------------------------------------------
 
 
-def _window_sides(windows, lo: int):
-    """Lazy failing sides for two square windows from row and column lo on
-    that should be equal: windows() runs once, on failure, and each side
-    lists the cells where they differ as (i,j): <value>."""
-
-    @functools.cache
-    def sides():
-        left, right = windows()
-        cells = [(i, j) for i in range(left.rows) for j in range(left.cols)
-                 if left.entry(i, j) != right.entry(i, j)]
-        return tuple(
-            "; ".join(f"({lo + i},{lo + j}): {w.entry(i, j)}" for i, j in cells)
-            for w in (left, right)
-        )
-
-    return (lambda: sides()[0]), (lambda: sides()[1])
+def _window_sides(left, right, lo: int) -> tuple[str, str]:
+    """Failing sides for two square windows from row and column lo on that
+    should be equal: each lists the cells where they differ as (i,j): <value>."""
+    cells = [(i, j) for i in range(left.rows) for j in range(left.cols)
+             if left.entry(i, j) != right.entry(i, j)]
+    return tuple(
+        "; ".join(f"({lo + i},{lo + j}): {w.entry(i, j)}" for i, j in cells)
+        for w in (left, right)
+    )
 
 
 def check_he_inverse(ctx: SchurContext, V: Subspace, lo: int, hi: int) -> CaseReport:
+    """The H and E arrays of V are mutually inverse on the window [lo, hi]."""
     t0 = time.perf_counter()
-    ok = ctx.he_inverse_check(V, lo, hi)
-    ring = V.ring
-
-    def windows():
-        size = hi - lo + 1
+    prod = fmatrix.window_product(ctx.h_matrix(V), ctx.e_matrix(V), lo, hi)
+    ok = prod.is_identity()
+    sides = ("", "")
+    if not ok:
+        ring, size = V.ring, hi - lo + 1
         identity = fmatrix.PolyMatrix(
             ring, [[ring.one if i == j else ring.zero for j in range(size)] for i in range(size)]
         )
-        return fmatrix.window_product(ctx.h_matrix(V), ctx.e_matrix(V), lo, hi), identity
-
-    rep = _case("he-inverse", ctx.spec.q, V, (), (), t0, ok, *_window_sides(windows, lo))
-    rep.basis = f"{V.describe()} window [{lo},{hi}]"
-    return rep
+        sides = _window_sides(prod, identity, lo)
+    return _case("he-inverse", ctx.spec.q, V, (), (), t0, ok, *sides,
+                 basis=f"{V.describe()} window [{lo},{hi}]")
 
 
 def check_factorization(ctx: SchurContext, V: Subspace, U: Subspace) -> CaseReport:
+    """The H-array of V equals the H-array of V // U times the m-twisted
+    H-array of U, with m = dim V - dim U, on the window [-(dim V + 3), dim V + 3]."""
     t0 = time.perf_counter()
-    ok = ctx.quotient_factorization_check(V, U)
-
-    def windows():
-        # the window and twist of SchurContext.quotient_factorization_check
-        Q = internal_quotient(V, U)
-        lo, hi = -(V.dim + 3), V.dim + 3
-        prod = fmatrix.window_product(
-            ctx.h_matrix(Q), ctx.h_matrix(U, twist=V.dim - U.dim), lo, hi
-        )
-        return prod, fmatrix.window_of(ctx.h_matrix(V), lo, hi)
-
-    rep = _case("h-factorization", ctx.spec.q, V, (), (), t0,
-                ok, *_window_sides(windows, -(V.dim + 3)))
-    rep.basis = V.describe() + " // " + U.describe()
-    return rep
+    if not V.contains(U):
+        raise NotSubspace("factorization check requires U <= V")
+    Q = internal_quotient(V, U)
+    lo, hi = -(V.dim + 3), V.dim + 3
+    prod = fmatrix.window_product(ctx.h_matrix(Q), ctx.h_matrix(U, twist=V.dim - U.dim), lo, hi)
+    direct = fmatrix.window_of(ctx.h_matrix(V), lo, hi)
+    ok = prod == direct
+    sides = ("", "") if ok else _window_sides(prod, direct, lo)
+    return _case("h-factorization", ctx.spec.q, V, (), (), t0, ok, *sides,
+                 basis=V.describe() + " // " + U.describe())
 
 
 def _random_poly(ring: PolyRing, rng: random.Random, max_terms=2, max_exp=6,
@@ -337,11 +335,6 @@ def check_matrix_lemmas(spec: FieldSpec, seed: int, trials: int = 50) -> list[Ca
     ring = ambient_ring(spec, 2)
     reports = []
 
-    def trial_case(identity, tag, t0, ok, lhs_text, rhs_text):
-        rep = _case(identity, spec.q, 2, (), (), t0, ok, lhs_text, rhs_text)
-        rep.basis = tag
-        return rep
-
     lo, hi = -4, 6
     for t in range(trials):
         t0 = time.perf_counter()
@@ -354,8 +347,9 @@ def check_matrix_lemmas(spec: FieldSpec, seed: int, trials: int = 50) -> list[Ca
         total = ring.zero
         for _, left, right in addends:
             total = total + left * right
-        reports.append(trial_case("cauchy-binet", f"trial {t} rows {ii} cols {jj}", t0,
-                                  direct == total, lambda: str(direct), lambda: str(total)))
+        reports.append(_case("cauchy-binet", spec.q, 2, (), (), t0, direct == total,
+                             lambda: str(direct), lambda: str(total),
+                             basis=f"trial {t} rows {ii} cols {jj}"))
 
     for t in range(trials):
         t0 = time.perf_counter()
@@ -369,8 +363,9 @@ def check_matrix_lemmas(spec: FieldSpec, seed: int, trials: int = 50) -> list[Ca
         nu = partitions.partition(sorted((rng.randint(0, 3) for _ in range(rng.randint(0, u))), reverse=True))
         lhs = fmatrix.scale_sign_det(c, lam, nu)
         rhs = fmatrix.det(c).scale(spec.sign(partitions.weight(lam) - partitions.weight(nu)))
-        reports.append(trial_case("sign-scaled-det", f"trial {t} size {u} lam {lam} nu {nu}", t0,
-                                  lhs == rhs, lambda: str(lhs), lambda: str(rhs)))
+        reports.append(_case("sign-scaled-det", spec.q, 2, (), (), t0, lhs == rhs,
+                             lambda: str(lhs), lambda: str(rhs),
+                             basis=f"trial {t} size {u} lam {lam} nu {nu}"))
 
     for t in range(trials):
         t0 = time.perf_counter()
@@ -389,9 +384,10 @@ def check_matrix_lemmas(spec: FieldSpec, seed: int, trials: int = 50) -> list[Ca
                     row.append(_random_poly(ring, rng, max_terms=2, max_exp=3, allow_zero=True))
             rows.append(row)
         c = fmatrix.PolyMatrix(ring, rows)
-        reports.append(trial_case("zero-block-det", f"trial {t} size {u} rows {sorted(xs)} cols {sorted(ys)}",
-                                  t0, fmatrix.too_many_zeroes_check(c, xs, ys),
-                                  lambda: str(fmatrix.det(c)), "0"))
+        reports.append(_case("zero-block-det", spec.q, 2, (), (), t0,
+                             fmatrix.too_many_zeroes_check(c, xs, ys),
+                             lambda: str(fmatrix.det(c)), "0",
+                             basis=f"trial {t} size {u} rows {sorted(xs)} cols {sorted(ys)}"))
     return reports
 
 
@@ -402,21 +398,19 @@ def check_quotient_tower(V: Subspace, U: Subspace, T: Subspace, q: int) -> CaseR
     t0 = time.perf_counter()
     ok = subspaces.quotient_tower_check(V, U, T)
     quot = subspaces.internal_quotient
-    rep = _case("quotient-tower", q, V, (), (), t0, ok,
-                lambda: quot(V, U).describe(),
-                lambda: quot(quot(V, T), quot(U, T)).describe())
-    rep.basis = f"{V.describe()} / {U.describe()} / {T.describe()}"
-    return rep
+    return _case("quotient-tower", q, V, (), (), t0, ok,
+                 lambda: quot(V, U).describe(),
+                 lambda: quot(quot(V, T), quot(U, T)).describe(),
+                 basis=f"{V.describe()} / {U.describe()} / {T.describe()}")
 
 
 def check_coset_product(U: Subspace, Uprime: Subspace, q: int) -> CaseReport:
     t0 = time.perf_counter()
     ok = subspaces.coset_product_check(U, Uprime)
-    rep = _case("coset-product", q, U, (), (), t0, ok,
-                lambda: str(subspaces.pi_product(subspaces.internal_quotient(U, Uprime))),
-                lambda: str(subspaces.coset_product(U, Uprime)))
-    rep.basis = f"{U.describe()} / {Uprime.describe()}"
-    return rep
+    return _case("coset-product", q, U, (), (), t0, ok,
+                 lambda: str(subspaces.pi_product(subspaces.internal_quotient(U, Uprime))),
+                 lambda: str(subspaces.coset_product(U, Uprime)),
+                 basis=f"{U.describe()} / {Uprime.describe()}")
 
 
 def check_pi_flag_product(flag: Flag, q: int) -> CaseReport:
@@ -432,11 +426,16 @@ def check_pi_flag_product(flag: Flag, q: int) -> CaseReport:
 
 
 def check_hook_step(ctx: SchurContext, U: Subspace, r: int) -> CaseReport:
+    """On a line U: pi(U) * phi(H_(r-1)(U)) == -H_r(U), for r >= 1."""
     t0 = time.perf_counter()
-    ok = ctx.hook_step_check(U, r)
-    return _case("hook-step", ctx.spec.q, U, (r,), (), t0, ok,
-                 lambda: str(subspaces.pi_product(U) * ctx.h_r(r - 1, U).frobenius(1)),
-                 lambda: str(-ctx.h_r(r, U)))
+    if U.dim != 1:
+        raise NotALine(f"hook step needs dim 1, got {U.dim}")
+    if r < 1:
+        raise HypothesisViolated(f"hook step needs r >= 1, got {r}")
+    lhs = subspaces.pi_product(U) * ctx.h_r(r - 1, U).frobenius(1)
+    rhs = -ctx.h_r(r, U)
+    return _case("hook-step", ctx.spec.q, U, (r,), (), t0, lhs == rhs,
+                 lambda: str(lhs), lambda: str(rhs))
 
 
 def check_full_column(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
@@ -469,11 +468,9 @@ def check_elementary_lemmas(spec: FieldSpec, n: int, seed: int = 0, trials: int 
     if n == 1:
         t0 = time.perf_counter()
         bad_i = next((i for i in range(q - 1) if not power_sum(spec, i).is_zero()), None)
-        rep = _case("power-sum-zero", q, 1, (), (), t0, bad_i is None,
-                    lambda: str(power_sum(spec, bad_i)), "0")
-        if bad_i is not None:
-            rep.basis = f"i={bad_i}"
-        reports.append(rep)
+        reports.append(_case("power-sum-zero", q, 1, (), (), t0, bad_i is None,
+                             lambda: str(power_sum(spec, bad_i)), "0",
+                             basis=None if bad_i is None else f"i={bad_i}"))
         reports.extend(_check_perm_witness(q))
 
     if n >= 1:
@@ -524,11 +521,9 @@ def check_elementary_lemmas(spec: FieldSpec, n: int, seed: int = 0, trials: int 
                     break
             if bad:
                 break
-        rep = _case("vector-power-sum", q, V, (), (), t0, bad is None,
-                    lambda: str(total), "0")
-        if bad:
-            rep.basis += " k={} a={}".format(*bad)
-        reports.append(rep)
+        reports.append(_case("vector-power-sum", q, V, (), (), t0, bad is None,
+                             lambda: str(total), "0",
+                             basis=V.describe() + (" k={} a={}".format(*bad) if bad else "")))
 
     if 1 <= n <= 3:
         t0 = time.perf_counter()
@@ -668,10 +663,9 @@ def check_vanishing(ctx: SchurContext, lam, mu, V: Subspace, U: Subspace) -> lis
            for i in range(1, k + 1)):
         t0 = time.perf_counter()
         val = ctx.tilde_S(lam, mu, U)
-        rep = _case("vanishing", ctx.spec.q, U, lam, mu, t0,
-                    val.is_zero(), lambda: str(val), "0")
-        rep.basis = "tilde:" + U.describe()
-        reports.append(rep)
+        reports.append(_case("vanishing", ctx.spec.q, U, lam, mu, t0,
+                             val.is_zero(), lambda: str(val), "0",
+                             basis="tilde:" + U.describe()))
     return reports
 
 
@@ -699,10 +693,8 @@ def check_division_round_trip(spec: FieldSpec, seed: int, pairs: int = 200) -> C
                 break
             except NotDivisible:
                 pass
-    rep = _case("division-round-trip", spec.q, 2, (), (), t0, want is None,
-                lambda: str(got), lambda: str(want))
-    rep.basis = f"pairs={pairs}"
-    return rep
+    return _case("division-round-trip", spec.q, 2, (), (), t0, want is None,
+                 lambda: str(got), lambda: str(want), basis=f"pairs={pairs}")
 
 
 def check_degree_formula(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
@@ -752,10 +744,9 @@ def check_coproduct_truncation(ctx: SchurContext, lam, mu, nu, V: Subspace, U: S
         raise ConfigInvalid(f"{nu} lies between {mu} and {lam}; pick an outside shape")
     m = V.dim - U.dim
     term = ctx.skew_S(nu, mu, V) * ctx.tilde_S(lam, nu, U).frobenius(m)
-    rep = _case("coproduct-truncation", ctx.spec.q, V, lam, mu, t0,
-                term.is_zero(), lambda: str(term), "0")
-    rep.basis = f"{V.describe()} // {U.describe()} at nu={nu}"
-    return rep
+    return _case("coproduct-truncation", ctx.spec.q, V, lam, mu, t0,
+                 term.is_zero(), lambda: str(term), "0",
+                 basis=f"{V.describe()} // {U.describe()} at nu={nu}")
 
 
 # Sweep driver -------------------------------------------------------------
@@ -833,7 +824,8 @@ class SweepConfig:
                     raise ConfigInvalid(f"{key} must be a list of strings")
                 kwargs[key] = tuple(value)
         for key in ("min_dim", "max_dim", "max_weight", "seed", "trials", "ceiling"):
-            if key in kwargs and not isinstance(kwargs[key], int):
+            # JSON true and false load as bool, a subclass of int
+            if key in kwargs and type(kwargs[key]) is not int:
                 raise ConfigInvalid(f"{key} must be an integer")
         cfg = cls(**kwargs)
         cfg.validate()
@@ -897,16 +889,16 @@ def _sweep_reports(cfg: SweepConfig) -> list:
         ring = ambient_ring(spec, max(cfg.max_dim, 1))
         for n in dims:
             V = span(ring, ring.gens()[:n])
-            if n >= 1 and "vl-recursion" in chosen:
+            if "vl-recursion" in chosen:
                 for lam, mu in _pair_grid(cfg.max_weight, n - 1):
                     reports.append(check_vl_recursion(ctx, lam, mu, V))
-            if n >= 1 and "straight-recursion" in chosen:
+            if "straight-recursion" in chosen:
                 for lam in partitions.partitions_up_to_weight(cfg.max_weight, n - 1):
                     reports.append(check_straight_recursion(ctx, lam, V))
             if "flag-formula" in chosen:
                 for lam in partitions.partitions_up_to_weight(cfg.max_weight, n):
                     reports.append(check_flag_formula(ctx, lam, V))
-            if n >= 1 and "pieri" in chosen:
+            if "pieri" in chosen:
                 grid = _pair_grid(cfg.max_weight, n - 1)
                 for L in enumerate_lines(V):
                     ell = L.basis[0]

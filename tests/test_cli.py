@@ -227,6 +227,14 @@ def test_verify_bad_config_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_boolean_config_value_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"fields": ["q=2"], "max_dim": True, "trials": False}))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "must be an integer" in err
+
+
 def test_max_terms_restored_after_run(capsys):
     before = get_term_limit()
     code, _, _ = run(capsys, "compute", "S", "--lambda", "1",

@@ -93,6 +93,13 @@ def test_partitions_up_to_weight():
     assert (2, 2) in got and (3, 1) in got and (1, 1, 1) not in got
 
 
+def test_partitions_up_to_negative_length_are_none():
+    # no partition, not even the empty one, has negative length
+    assert partitions_up_to_weight(4, max_length=-1) == []
+    assert partitions_up_to_weight(0, max_length=-3) == []
+    assert partitions_up_to_weight(4, max_length=0) == [()]
+
+
 def test_q_exponent_hand_values():
     # (q-1) * sum of q^(lam_i + n - 1 - i) over rows with lam_i > nu_i
     # (1-based i, and lam must be shorter than n)

@@ -2,21 +2,13 @@
 
 import pytest
 
-from qschur.errors import (
-    HypothesisViolated,
-    LengthTooLong,
-    NotALine,
-    NotSubspace,
-    WindowInvalid,
-    ZeroVector,
-)
+from qschur.errors import LengthTooLong, NotSubspace, ZeroVector
 from qschur import fmatrix
 from qschur.gf import field_spec, parse_field_spec
-from qschur.partitions import part, partitions_up_to_weight
-from qschur.ppoly import ambient_ring, evaluate_morphism, universal_ring
+from qschur.partitions import delta, pad_and_add, part, partition, partitions_up_to_weight
+from qschur.ppoly import ambient_ring, evaluate_morphism, exact_div, universal_ring
 from qschur.schur import SchurContext
 from qschur.subspaces import (
-    Subspace,
     enumerate_lines,
     internal_quotient,
     pi_product,
@@ -76,7 +68,6 @@ def test_staircase_alternant_is_product_of_line_representatives():
         spec = field_spec(q)
         ctx = SchurContext(spec)
         U = universal_ring(spec, 2)
-        from qschur.partitions import delta
         a = ctx.alternant(delta(2), 2)
         W = span(U, U.gens())
         prod = U.one
@@ -94,22 +85,6 @@ def test_alternant_length_check():
 def test_straight_cache_returns_same_object():
     ctx, R, V = make()
     assert ctx.schur_S((2,), V) is ctx.schur_S((2,), V)
-
-
-def test_schur_direct_agrees_on_variable_basis():
-    ctx, R, V = make(q=3)
-    for lam in ((1,), (2,), (2, 1), (1, 1)):
-        assert ctx.schur_direct(lam, V) == ctx.schur_S(lam, V)
-
-
-def test_schur_direct_agrees_on_twisted_basis():
-    # dual route on a basis of q-polynomials (a quotient inside dim 3)
-    ctx, R, _ = make(q=2, n=3)
-    x, y, z = R.gens()
-    V = span(R, [x, y, z])
-    Q = internal_quotient(V, span(R, [z]))
-    for lam in ((1,), (2,), (1, 1), (2, 1)):
-        assert ctx.schur_direct(lam, Q) == ctx.schur_S(lam, Q)
 
 
 def test_basis_independence_hand_case():
@@ -134,6 +109,46 @@ def test_skew_k_independence():
         assert ctx.skew_S(lam, mu, V, k=k) == base
     with pytest.raises(LengthTooLong):
         ctx.skew_S(lam, mu, V, k=1)
+
+
+def alternant_on(vectors, alpha, ring):
+    """det(v_i ** q**alpha_j) for explicit vectors in their own ring."""
+    rows = [[v.frobenius(a) for a in alpha] for v in vectors]
+    return fmatrix.det(fmatrix.PolyMatrix(ring, rows))
+
+
+def schur_direct(lam, V):
+    """Straight value by dividing alternants formed on the basis itself.
+
+    Slower than schur_S but shares no code path with the universal
+    quotient, so the two serve as cross-checks on each other.
+    """
+    lam = partition(lam)
+    n = V.dim
+    if len(lam) > n:
+        return V.ring.zero
+    if n == 0:
+        return V.ring.one
+    basis = list(V.basis)
+    top = alternant_on(basis, pad_and_add(lam, n), V.ring)
+    bottom = alternant_on(basis, delta(n), V.ring)
+    return exact_div(top, bottom)
+
+
+def test_schur_direct_agrees_on_variable_basis():
+    ctx, R, V = make(q=3)
+    for lam in ((1,), (2,), (2, 1), (1, 1)):
+        assert schur_direct(lam, V) == ctx.schur_S(lam, V)
+
+
+def test_schur_direct_agrees_on_twisted_basis():
+    # dual route on a basis of q-polynomials (a quotient inside dim 3)
+    ctx, R, _ = make(q=2, n=3)
+    x, y, z = R.gens()
+    V = span(R, [x, y, z])
+    Q = internal_quotient(V, span(R, [z]))
+    for lam in ((1,), (2,), (1, 1), (2, 1)):
+        assert schur_direct(lam, Q) == ctx.schur_S(lam, Q)
 
 
 def reference_universal_skew(ctx, lam, mu, V, k):
@@ -230,28 +245,11 @@ def test_h_matrix_window_shape():
     assert em.entry(0, 1) == -ctx.e_r(1, V).frobenius(1)
 
 
-def test_he_inverse_window():
-    ctx, R, V = make()
-    assert ctx.he_inverse_check(V, -3, 3)
-    with pytest.raises(WindowInvalid):
-        ctx.he_inverse_check(V, 2, -2)
-
-
-def test_quotient_factorization_small():
-    ctx, R, V = make()
-    U = span(R, [R.gens()[0]])
-    assert ctx.quotient_factorization_check(V, U)
-    assert ctx.quotient_factorization_check(V, Subspace.zero(R))
-    assert ctx.quotient_factorization_check(V, V)
-
-
 def test_coproduct_expand_total():
     ctx, R, V = make()
     U = span(R, [R.gens()[0]])
-    addends, total = ctx.coproduct_expand((2,), (), V, U)
+    total = ctx.coproduct_expand((2,), (), V, U)
     assert total == ctx.skew_S((2,), (), internal_quotient(V, U))
-    nus = [nu for nu, _ in addends]
-    assert sorted(nus) == [(), (1,), (2,)]
     with pytest.raises(NotSubspace):
         ctx.coproduct_expand((1,), (), U, V)
 
@@ -284,15 +282,3 @@ def test_fullhouse_reduction():
     assert ctx.fullhouse_reduce((2, 1), V) == ctx.schur_S((2, 1), V)
     ctx3, R3, V3 = make(q=2, n=3)
     assert ctx3.fullhouse_reduce((2, 1, 1), V3) == ctx3.schur_S((2, 1, 1), V3)
-
-
-def test_hook_step():
-    ctx, R, V = make()
-    x, y = R.gens()
-    line = span(R, [x + y])
-    for r in (1, 2, 3):
-        assert ctx.hook_step_check(line, r)
-    with pytest.raises(HypothesisViolated):
-        ctx.hook_step_check(line, 0)
-    with pytest.raises(NotALine):
-        ctx.hook_step_check(V, 1)

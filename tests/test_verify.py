@@ -1,12 +1,20 @@
 """Sweep driver: case reports, config validation, and a mutation check."""
 
+import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from qschur import verify
-from qschur.errors import ConfigInvalid
+from qschur.errors import (
+    ConfigInvalid,
+    HypothesisViolated,
+    NotALine,
+    NotSubspace,
+    WindowInvalid,
+)
 from qschur.gf import field_spec, parse_field_spec
 from qschur.partitions import weight
 from qschur.ppoly import ambient_ring
@@ -89,6 +97,35 @@ def test_checks_pass_on_small_grid():
     assert check_degree_formula(ctx, (2, 1), V).status == "pass"
     assert check_division_round_trip(spec, seed=1, pairs=25).status == "pass"
     assert check_functoriality(ctx, (2,), 2, R, seed=3).status == "pass"
+
+
+def test_check_he_inverse_window():
+    spec, ctx, R, V = make()
+    assert check_he_inverse(ctx, V, -3, 3).status == "pass"
+    with pytest.raises(WindowInvalid):
+        check_he_inverse(ctx, V, 2, -2)
+
+
+def test_check_factorization_small():
+    spec, ctx, R, V = make()
+    U = span(R, [R.gens()[0]])
+    assert check_factorization(ctx, V, U).status == "pass"
+    assert check_factorization(ctx, V, Subspace.zero(R)).status == "pass"
+    assert check_factorization(ctx, V, V).status == "pass"
+    with pytest.raises(NotSubspace):
+        check_factorization(ctx, U, V)
+
+
+def test_check_hook_step():
+    spec, ctx, R, V = make()
+    x, y = R.gens()
+    line = span(R, [x + y])
+    for r in (1, 2, 3):
+        assert check_hook_step(ctx, line, r).status == "pass"
+    with pytest.raises(HypothesisViolated):
+        check_hook_step(ctx, line, 0)
+    with pytest.raises(NotALine):
+        check_hook_step(ctx, V, 1)
 
 
 def test_pi_flag_product_over_all_flags():
@@ -377,6 +414,14 @@ def test_sweep_config_from_dict():
         SweepConfig.from_dict({"seed": "soon"})
 
 
+@pytest.mark.parametrize("key", ["min_dim", "max_dim", "max_weight", "seed", "trials", "ceiling"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_sweep_config_from_dict_refuses_booleans(key, flag):
+    # JSON true and false are not the integers 1 and 0
+    with pytest.raises(ConfigInvalid, match=f"^{key} must be an integer$"):
+        SweepConfig.from_dict({"fields": ["q=2"], key: flag})
+
+
 def small_cfg(**kw):
     base = dict(fields=("q=2",), min_dim=0, max_dim=2, max_weight=3,
                 identities=("all",), seed=0, trials=5)
@@ -493,3 +538,46 @@ def test_coproduct_truncation_case():
     assert rep.status == "pass"
     with pytest.raises(ConfigInvalid):
         check_coproduct_truncation(ctx, (2,), (), (1,), V, U)  # nu inside lam
+
+
+def _case_digest(report):
+    """(cases per identity, SHA-256 of the sorted cases without millis)."""
+    cases = [{k: v for k, v in c.items() if k != "millis"} for c in report["cases"]]
+    counts = Counter(c["identity"] for c in cases)
+    text = json.dumps(cases, sort_keys=True)
+    return counts, hashlib.sha256(text.encode()).hexdigest()
+
+
+# Coproduct cases for different U share one sort key, so these digests also
+# pin the order in which each identity generates its cases.
+PINNED_SWEEPS = [
+    (dict(fields=("q=2",)),
+     {"cauchy-binet": 3, "coproduct": 88, "coproduct-truncation": 2, "coset-product": 16,
+      "degree-formula": 7, "division-round-trip": 1, "flag-formula": 8,
+      "full-column-reduction": 3, "functoriality": 7, "gl-invariance": 7,
+      "h-factorization": 8, "he-inverse": 3, "hook-step": 12, "k-independence": 18,
+      "line-sum": 2, "low-degree-point-sum": 2, "perm-witness": 6, "pi-flag-product": 4,
+      "pi-of-line": 1, "pieri": 19, "power-sum-zero": 1, "quotient-tower": 16,
+      "sign-scaled-det": 3, "straight-recursion": 4, "vanishing": 18,
+      "vector-power-sum": 1, "vl-recursion": 7, "zero-block-det": 3},
+     "fbf8faa4802151e98aceffdef0adff174dbe4d515f052b93be99ee2488f69cc9"),
+    # the extension field puts its modulus in front of every basis
+    (dict(fields=("q=2^2",), identities=("vl-recursion", "pieri", "coproduct",
+                                         "subspace-calculus", "elementary", "structural")),
+     {"coproduct": 110, "coproduct-truncation": 2, "coset-product": 22,
+      "degree-formula": 7, "division-round-trip": 1, "full-column-reduction": 3,
+      "functoriality": 7, "gl-invariance": 7, "hook-step": 18, "k-independence": 18,
+      "line-sum": 2, "low-degree-point-sum": 2, "perm-witness": 6, "pi-flag-product": 6,
+      "pi-of-line": 1, "pieri": 31, "power-sum-zero": 1, "quotient-tower": 22,
+      "vanishing": 18, "vector-power-sum": 1, "vl-recursion": 7},
+     "db7c926f7a79aa729d1b6c8293e8c478caa6ecb6c4aaaf65c0c53ff99594d813"),
+]
+
+
+@pytest.mark.parametrize("overrides, counts, digest", PINNED_SWEEPS,
+                         ids=["q2-all", "q4-skew-subspace-structural"])
+def test_run_sweep_case_list_is_pinned(overrides, counts, digest):
+    cfg = SweepConfig(**dict(dict(min_dim=0, max_dim=2, max_weight=2, trials=3), **overrides))
+    report = run_sweep(cfg)
+    assert report["aggregate"]["failed"] == 0
+    assert _case_digest(report) == (counts, digest)
