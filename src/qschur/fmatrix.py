@@ -82,7 +82,7 @@ class PolyMatrix:
 def det(m: PolyMatrix) -> Poly:
     """Determinant by cofactor expansion along rows, minors memoized.
 
-    The empty matrix has determinant one.
+    The empty matrix has determinant one, and a 1x1 minor is its entry.
     """
     if m.rows != m.cols:
         raise NotSquare(f"determinant of a {m.rows}x{m.cols} matrix")
@@ -95,8 +95,8 @@ def det(m: PolyMatrix) -> Poly:
     memo: dict[tuple[int, tuple[int, ...]], Poly] = {}
 
     def minor(r: int, cols: tuple[int, ...]) -> Poly:
-        if r == n:
-            return ring.one
+        if r == n - 1:
+            return entries[r][cols[0]]
         key = (r, cols)
         got = memo.get(key)
         if got is None:

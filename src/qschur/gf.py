@@ -18,7 +18,7 @@ import re
 
 from .errors import InvalidFieldSpec, PolyParseError
 
-DEFAULT_Q_CEILING = 64
+Q_CEILING = 64
 
 # Irreducible moduli used when none is given, low-to-high coefficients.
 BUILTIN_MODULI = {
@@ -188,7 +188,7 @@ class FieldElement:
 
 
 class FieldSpec:
-    """A finite field F_q, q = p^e <= a configured ceiling (default 64)."""
+    """A finite field F_q, q = p^e <= Q_CEILING."""
 
     __slots__ = (
         "p",
@@ -212,16 +212,14 @@ class FieldSpec:
         p: int,
         e: int = 1,
         modulus: tuple[int, ...] | None = None,
-        *,
-        q_ceiling: int = DEFAULT_Q_CEILING,
     ):
         if not _is_prime(p):
             raise InvalidFieldSpec(f"characteristic {p} is not prime")
         if e < 1:
             raise InvalidFieldSpec(f"extension degree {e} must be at least 1")
         q = p**e
-        if q > q_ceiling:
-            raise InvalidFieldSpec(f"field size {q} exceeds the ceiling {q_ceiling}")
+        if q > Q_CEILING:
+            raise InvalidFieldSpec(f"field size {q} exceeds the ceiling {Q_CEILING}")
         if e == 1:
             if modulus not in (None, ()):
                 raise InvalidFieldSpec("prime fields take no modulus")
@@ -351,27 +349,21 @@ _FIELD_RE = re.compile(
 _SPEC_CACHE: dict[tuple, FieldSpec] = {}
 
 
-def field_spec(
-    p: int,
-    e: int = 1,
-    modulus=None,
-    *,
-    q_ceiling: int = DEFAULT_Q_CEILING,
-) -> FieldSpec:
+def field_spec(p: int, e: int = 1, modulus=None) -> FieldSpec:
     """Interned FieldSpec factory; equal parameters yield the same object."""
-    key = (p, e, tuple(modulus) if modulus is not None else None, q_ceiling)
+    key = (p, e, tuple(modulus) if modulus is not None else None)
     spec = _SPEC_CACHE.get(key)
     if spec is None:
-        spec = FieldSpec(p, e, modulus, q_ceiling=q_ceiling)
+        spec = FieldSpec(p, e, modulus)
         # an explicit modulus equal to the built-in one interns to the same
         # object, so value-equal specs are always identical
-        canon = (p, e, spec.modulus, q_ceiling)
+        canon = (p, e, spec.modulus)
         spec = _SPEC_CACHE.setdefault(canon, spec)
         _SPEC_CACHE[key] = spec
     return spec
 
 
-def parse_field_spec(text: str, *, q_ceiling: int = DEFAULT_Q_CEILING) -> FieldSpec:
+def parse_field_spec(text: str) -> FieldSpec:
     """Parse "q=p" or "q=p^e:c0,c1,...,ce" (built-in modulus when omitted)."""
     m = _FIELD_RE.match(text.strip())
     if m is None:
@@ -383,7 +375,7 @@ def parse_field_spec(text: str, *, q_ceiling: int = DEFAULT_Q_CEILING) -> FieldS
         if e == 1:
             raise PolyParseError("prime field spec must not carry a modulus")
         modulus = tuple(int(c) for c in m.group(3).split(","))
-    return field_spec(p, e, modulus, q_ceiling=q_ceiling)
+    return field_spec(p, e, modulus)
 
 
 def field_enumerate(spec: FieldSpec) -> tuple[FieldElement, ...]:

@@ -76,8 +76,8 @@ class SchurContext:
     - S_lam(V) (schur_S): the universal quotient substituted onto the basis
       for one-column shapes on any basis and for every shape on a
       bare-variable basis; on denser bases, the window recursion over the
-      E_j for one-row shapes and the twisted determinant over the H_r for
-      the rest;
+      E_j for one-row shapes and, for the rest, the cached skew_S(lam, (), V),
+      so a dense straight value and its skew value are one object;
     - S_lam/mu(V) (skew_S): the twisted determinant over the H_r on V's own
       basis, on every basis; tilde_S likewise over the E_r;
     - schur_on_basis: the universal quotient substituted onto an explicit
@@ -182,7 +182,8 @@ class SchurContext:
         quotient directly. On denser bases the one-row values climb the
         window identity sum_j (-1)^j phi^(r-1)(E_j) H_(r-j) = 0, whose E_j
         are the (small) one-column values, and every other shape is the
-        twisted determinant in the one-row values.
+        cached skew value at mu = (), the twisted determinant in the one-row
+        values.
         """
         n = V.dim
         if all(p == 1 for p in lam) or _plain_basis(V):
@@ -194,7 +195,7 @@ class SchurContext:
                  self.h_r(r - j, V))
                 for j in range(1, min(r, n) + 1)
             ])
-        return self._twisted_det(*_sized(lam, (), None), V, self.h_r, _h_twist)
+        return self.skew_S(lam, (), V)
 
     def h_r(self, r: int, V: Subspace) -> Poly:
         """Complete value: S at the one-row shape; zero for r < 0, one at r = 0."""
@@ -230,9 +231,9 @@ class SchurContext:
                 got = self._skew[key] = self._twisted_det(lam, mu, k, V, self.h_r, _h_twist)
         return got
 
-    def tilde_S(self, lam: Partition, mu: Partition, U: Subspace, k: int | None = None) -> Poly:
+    def tilde_S(self, lam: Partition, mu: Partition, U: Subspace) -> Poly:
         """Companion determinant det(phi^(lam_i - i) E_(lam_i - mu_j - i + j))."""
-        lam, mu, k = _sized(lam, mu, k)
+        lam, mu, k = _sized(lam, mu, None)
         return self._twisted_det(lam, mu, k, U, self.e_r, _e_twist)
 
     def _twisted_det(self, lam: Partition, mu: Partition, k: int, V: Subspace,

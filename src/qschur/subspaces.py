@@ -41,8 +41,7 @@ _ceiling = DEFAULT_ENUMERATION_CEILING
 
 
 def set_enumeration_ceiling(ceiling: int) -> None:
-    """Ceiling on q^dim for every enumeration and annihilator that is not
-    given one explicitly."""
+    """Ceiling on q^dim for every enumeration, annihilator and quotient."""
     global _ceiling
     if ceiling < 1:
         raise ValueError("enumeration ceiling must be positive")
@@ -157,11 +156,10 @@ def span(ring: PolyRing, vectors) -> Subspace:
     return Subspace.span(ring, vectors)
 
 
-def _check_ceiling(q: int, dim: int, ceiling: int | None) -> None:
-    cap = _ceiling if ceiling is None else ceiling
-    if q**dim > cap:
+def _check_ceiling(q: int, dim: int) -> None:
+    if q**dim > _ceiling:
         raise EnumerationTooLarge(
-            f"enumerating q^dim = {q}^{dim} vectors exceeds the ceiling {cap}"
+            f"enumerating q^dim = {q}^{dim} vectors exceeds the ceiling {_ceiling}"
         )
 
 
@@ -188,23 +186,22 @@ def _linear_combinations(ring: PolyRing, vectors) -> list[Poly]:
     return out
 
 
-def enumerate_vectors(V: Subspace, ceiling: int | None = None) -> list[Poly]:
+def enumerate_vectors(V: Subspace) -> list[Poly]:
     """All q^dim vectors, zero first; coefficients run in field order with
     the first basis vector most significant."""
-    _check_ceiling(V.ring.spec.q, V.dim, ceiling)
+    _check_ceiling(V.ring.spec.q, V.dim)
     vectors = V._vectors
     if vectors is None:
         vectors = V._vectors = tuple(_linear_combinations(V.ring, V.basis))
     return list(vectors)
 
 
-def enumerate_lines(V: Subspace, ceiling: int | None = None) -> list[Subspace]:
+def enumerate_lines(V: Subspace) -> list[Subspace]:
     """All one-dimensional subspaces, each keyed by its monic direction
     vector, in the order those directions appear in enumerate_vectors."""
     spec = V.ring.spec
-    _check_ceiling(spec.q, V.dim, ceiling)
     lines = []
-    for v in enumerate_vectors(V, ceiling):
+    for v in enumerate_vectors(V):
         if v.terms and v.leading_coeff().is_one():
             lines.append(Subspace(V.ring, (v,)))
     expected = (spec.q**V.dim - 1) // (spec.q - 1) if V.dim else 0
@@ -244,7 +241,7 @@ class Flag:
         return "Flag(" + " > ".join(s.describe() for s in self.chain) + ")"
 
 
-def _hyperplanes(V: Subspace, ceiling: int | None = None) -> tuple[Subspace, ...]:
+def _hyperplanes(V: Subspace) -> tuple[Subspace, ...]:
     """All codimension-1 subspaces of V, in a deterministic order, formed
     once per V.
 
@@ -253,7 +250,7 @@ def _hyperplanes(V: Subspace, ceiling: int | None = None) -> tuple[Subspace, ...
     enumerated in field order.
     """
     spec = V.ring.spec
-    _check_ceiling(spec.q, V.dim, ceiling)
+    _check_ceiling(spec.q, V.dim)
     if V._hyperplanes is not None:
         return V._hyperplanes
     n = V.dim
@@ -272,16 +269,16 @@ def _hyperplanes(V: Subspace, ceiling: int | None = None) -> tuple[Subspace, ...
     return V._hyperplanes
 
 
-def enumerate_flags(V: Subspace, ceiling: int | None = None) -> list[Flag]:
+def enumerate_flags(V: Subspace) -> list[Flag]:
     """All complete flags of V; the zero space has exactly one (itself)."""
     spec = V.ring.spec
-    _check_ceiling(spec.q, V.dim, ceiling)
+    _check_ceiling(spec.q, V.dim)
 
     def rec(W: Subspace) -> list[tuple[Subspace, ...]]:
         if W.dim == 0:
             return [(W,)]
         chains = []
-        for H in _hyperplanes(W, ceiling):
+        for H in _hyperplanes(W):
             for tail in rec(H):
                 chains.append((W,) + tail)
         return chains
@@ -294,13 +291,13 @@ def enumerate_flags(V: Subspace, ceiling: int | None = None) -> list[Flag]:
     return flags
 
 
-def pi_product(V: Subspace, ceiling: int | None = None) -> Poly:
+def pi_product(V: Subspace) -> Poly:
     """Product of all nonzero vectors of V; one for the zero subspace."""
-    _check_ceiling(V.ring.spec.q, V.dim, ceiling)
+    _check_ceiling(V.ring.spec.q, V.dim)
     acc = V._pi
     if acc is None:
         acc = V.ring.one
-        for v in enumerate_vectors(V, ceiling):
+        for v in enumerate_vectors(V):
             if v.terms:
                 acc = acc * v
         V._pi = acc
@@ -308,7 +305,7 @@ def pi_product(V: Subspace, ceiling: int | None = None) -> Poly:
     return acc
 
 
-def additive_poly(U: Subspace, ceiling: int | None = None) -> UniPoly:
+def additive_poly(U: Subspace) -> UniPoly:
     """The annihilator f_U(t), the product of (t + u) over all u in U.
 
     Built by Ore's recursion over the basis of U: with a_i the coefficient
@@ -318,7 +315,7 @@ def additive_poly(U: Subspace, ceiling: int | None = None) -> UniPoly:
     35 (1933); D. Goss, Basic Structures of Function Field Arithmetic, ch. 1).
     Always additive: every t-exponent is a power of q (asserted)."""
     q = U.ring.spec.q
-    _check_ceiling(q, U.dim, ceiling)
+    _check_ceiling(q, U.dim)
     f = U._annihilator
     if f is None:
         zero = U.ring.zero
@@ -337,7 +334,7 @@ def additive_poly(U: Subspace, ceiling: int | None = None) -> UniPoly:
     return f
 
 
-def internal_quotient(V: Subspace, U: Subspace, ceiling: int | None = None) -> Subspace:
+def internal_quotient(V: Subspace, U: Subspace) -> Subspace:
     """The image of V under the annihilator of U; requires U <= V.
 
     The result has dimension dim V - dim U; losing more is impossible over
@@ -351,14 +348,14 @@ def internal_quotient(V: Subspace, U: Subspace, ceiling: int | None = None) -> S
     if memo is not None:
         Q = memo.get(U)
         if Q is not None:
-            _check_ceiling(V.ring.spec.q, U.dim, ceiling)
+            _check_ceiling(V.ring.spec.q, U.dim)
             _check_term_limit("quotient basis vector", Q.basis)
             return Q
     if not V.contains(U):
         raise NotSubspace(
             f"quotient denominator {U.describe()} is not contained in {V.describe()}"
         )
-    f = additive_poly(U, ceiling)
+    f = additive_poly(U)
     images = [f.apply(b) for b in V.basis]
     Q = Subspace.span(V.ring, images)
     if Q.dim != V.dim - U.dim:
@@ -398,7 +395,7 @@ def coset_product(U: Subspace, Uprime: Subspace) -> Poly:
     return rhs
 
 
-def enumerate_subspaces(V: Subspace, ceiling: int | None = None) -> list[Subspace]:
+def enumerate_subspaces(V: Subspace) -> list[Subspace]:
     """All subspaces of V, ordered by dimension, then by the sort keys of
     their basis vectors.
 
@@ -414,7 +411,7 @@ def enumerate_subspaces(V: Subspace, ceiling: int | None = None) -> list[Subspac
     elimination.
     """
     ring = V.ring
-    _check_ceiling(ring.spec.q, V.dim, ceiling)
+    _check_ceiling(ring.spec.q, V.dim)
     n = V.dim
     basis = V.basis
     out = []

@@ -32,6 +32,7 @@ from .ppoly import (
     ambient_ring,
     evaluate_morphism,
     exact_div,
+    get_term_limit,
     universal_ring,
 )
 from .schur import SchurContext
@@ -754,7 +755,7 @@ def check_coproduct_truncation(ctx: SchurContext, lam, mu, nu, V: Subspace, U: S
 
 @dataclass
 class SweepConfig:
-    """Grid description for run_sweep. All bounds are validated up front."""
+    """Grid description for run_sweep; validate() checks every type and bound."""
 
     fields: tuple = ("q=2", "q=3")
     min_dim: int = 0
@@ -779,6 +780,14 @@ class SweepConfig:
         return chosen
 
     def validate(self) -> None:
+        for key in ("fields", "identities"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+                raise ConfigInvalid(f"{key} must be a list of strings")
+        for key in ("min_dim", "max_dim", "max_weight", "seed", "trials", "ceiling"):
+            # JSON true and false load as bool, a subclass of int
+            if type(getattr(self, key)) is not int:
+                raise ConfigInvalid(f"{key} must be an integer")
         if not self.fields:
             raise ConfigInvalid("no field specs given")
         for text in self.fields:
@@ -799,34 +808,18 @@ class SweepConfig:
             raise ConfigInvalid(f"max_weight must be nonnegative, got {self.max_weight}")
         if self.trials < 0:
             raise ConfigInvalid(f"trials must be nonnegative, got {self.trials}")
-        if not isinstance(self.seed, int):
-            raise ConfigInvalid(f"seed must be an integer, got {self.seed!r}")
         self.selected()
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
-        known = {
-            "fields", "min_dim", "max_dim", "max_weight", "identities",
-            "seed", "trials", "ceiling",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
         for key in ("fields", "identities"):
-            if key in kwargs:
-                value = kwargs[key]
-                if isinstance(value, str):
-                    value = [value]
-                if not isinstance(value, (list, tuple)) or not all(
-                    isinstance(v, str) for v in value
-                ):
-                    raise ConfigInvalid(f"{key} must be a list of strings")
-                kwargs[key] = tuple(value)
-        for key in ("min_dim", "max_dim", "max_weight", "seed", "trials", "ceiling"):
-            # JSON true and false load as bool, a subclass of int
-            if key in kwargs and type(kwargs[key]) is not int:
-                raise ConfigInvalid(f"{key} must be an integer")
+            value = kwargs.get(key)
+            if isinstance(value, (str, list)):
+                kwargs[key] = (value,) if isinstance(value, str) else tuple(value)
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -871,6 +864,12 @@ def run_sweep(cfg: SweepConfig) -> dict:
     }
 
 
+def _window_fits(q: int, n: int, w: int) -> bool:
+    """Whether a window's largest value H_w on n <= 2 generic coordinates,
+    one term for n < 2 and (q^(w+1) - 1)/(q - 1) at n = 2, fits the term limit."""
+    return n < 2 or (q ** (w + 1) - 1) // (q - 1) <= get_term_limit()
+
+
 def _sweep_reports(cfg: SweepConfig) -> list:
     """The unsorted case reports of run_sweep."""
     chosen = cfg.selected()
@@ -909,9 +908,9 @@ def _sweep_reports(cfg: SweepConfig) -> list:
                 for U in enumerate_subspaces(V):
                     for lam, mu in grid:
                         reports.append(check_coproduct(ctx, lam, mu, V, U))
-            if n <= dim_cap and "he-inverse" in chosen:
+            if n <= dim_cap and "he-inverse" in chosen and _window_fits(q, n, 2 * n + 8):
                 reports.append(check_he_inverse(ctx, V, -(n + 4), n + 4))
-            if n <= dim_cap and "h-factorization" in chosen:
+            if n <= dim_cap and "h-factorization" in chosen and _window_fits(q, n, 2 * n + 6):
                 for U in enumerate_subspaces(V):
                     reports.append(check_factorization(ctx, V, U))
             if "quotient-tower" in chosen:

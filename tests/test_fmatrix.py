@@ -37,6 +37,14 @@ def test_det_small():
     assert det(PolyMatrix(R, [])).is_one()
 
 
+def test_one_by_one_det_is_its_entry():
+    R = ring3()
+    x, y = R.gens()
+    p = x * x + y
+    assert det(PolyMatrix(R, [[p]])) is p
+    assert det(PolyMatrix(R, [[R.zero]])).is_zero()
+
+
 def test_det_three_by_three():
     R = ring3()
     x, y = R.gens()

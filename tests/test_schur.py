@@ -141,6 +141,16 @@ def test_schur_direct_agrees_on_variable_basis():
         assert schur_direct(lam, V) == ctx.schur_S(lam, V)
 
 
+def test_dense_straight_value_is_the_cached_skew_value():
+    # off a bare-variable basis, S_lam(V) for a shape of two rows or more is
+    # the skew value at mu = (), formed and held once
+    ctx, R, _ = make(q=2, n=3)
+    x, y, z = R.gens()
+    Q = internal_quotient(span(R, [x, y, z]), span(R, [z]))
+    assert ctx.schur_S((2, 1), Q) is ctx.skew_S((2, 1), (), Q)
+    assert ctx.schur_S((2, 1), Q) == schur_direct((2, 1), Q)
+
+
 def test_schur_direct_agrees_on_twisted_basis():
     # dual route on a basis of q-polynomials (a quotient inside dim 3)
     ctx, R, _ = make(q=2, n=3)

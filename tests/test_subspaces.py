@@ -40,6 +40,14 @@ def setup_ring(q=2, n=3):
     return ambient_ring(field_spec(q), n)
 
 
+@pytest.fixture
+def set_ceiling():
+    """set_enumeration_ceiling, with the module ceiling restored afterwards."""
+    saved = get_enumeration_ceiling()
+    yield set_enumeration_ceiling
+    set_enumeration_ceiling(saved)
+
+
 def test_span_canonicalizes():
     R = setup_ring()
     x, y, z = R.gens()
@@ -130,12 +138,13 @@ def test_enumerate_flags_counts():
     assert len(enumerate_flags(span(R3, [u, v]))) == 4
 
 
-def test_enumeration_ceiling():
+def test_enumeration_ceiling(set_ceiling):
     R = ambient_ring(field_spec(3), 6)
     V = span(R, R.gens())  # 3^6 = 729 > 243
     with pytest.raises(EnumerationTooLarge):
         enumerate_vectors(V)
-    assert len(enumerate_vectors(V, ceiling=1000)) == 729
+    set_ceiling(1000)
+    assert len(enumerate_vectors(V)) == 729
     assert DEFAULT_ENUMERATION_CEILING == 243
 
 
@@ -332,12 +341,14 @@ def test_annihilator_is_monic_and_vanishes_on_the_space(ftext, data):
         assert f.apply(u).is_zero()
 
 
-def test_annihilator_keeps_the_ceiling():
+def test_annihilator_keeps_the_ceiling(set_ceiling):
     R = setup_ring(q=2, n=3)
     U = span(R, R.gens())
+    set_ceiling(7)
     with pytest.raises(EnumerationTooLarge):
-        additive_poly(U, ceiling=7)
-    assert max(additive_poly(U, ceiling=8).coeffs) == 8
+        additive_poly(U)
+    set_ceiling(8)
+    assert max(additive_poly(U).coeffs) == 8
 
 
 # Remembered quotients ---------------------------------------------------------
@@ -355,15 +366,17 @@ def test_repeated_quotients_agree():
         assert internal_quotient(span(R, list(V.basis)), U) is Q
 
 
-def test_remembered_quotient_still_meets_the_ceiling():
+def test_remembered_quotient_still_meets_the_ceiling(set_ceiling):
     R = setup_ring(q=2, n=3)
     x, y, z = R.gens()
     V = span(R, [x, y, z])
     U = span(R, [x, y])
     Q = internal_quotient(V, U)
+    set_ceiling(3)
     with pytest.raises(EnumerationTooLarge):
-        internal_quotient(V, U, ceiling=3)
-    assert internal_quotient(V, U, ceiling=4) is Q
+        internal_quotient(V, U)
+    set_ceiling(4)
+    assert internal_quotient(V, U) is Q
 
 
 def test_remembered_quotients_do_not_admit_outside_spaces():
@@ -466,16 +479,18 @@ def test_remembered_values_match_references(ftext, basis):
         assert enumerate_vectors(U) == enumerate_vectors(U) == plain_vectors(U)
 
 
-def test_remembered_values_still_meet_the_ceiling():
+def test_remembered_values_still_meet_the_ceiling(set_ceiling):
     R = setup_ring(q=2, n=3)
     U = span(R, R.gens())
     f, pi, vectors = additive_poly(U), pi_product(U), enumerate_vectors(U)
+    set_ceiling(7)
     for call in (additive_poly, pi_product, enumerate_vectors):
         with pytest.raises(EnumerationTooLarge):
-            call(U, ceiling=7)
-    assert additive_poly(U, ceiling=8) is f
-    assert pi_product(U, ceiling=8) is pi
-    assert enumerate_vectors(U, ceiling=8) == vectors
+            call(U)
+    set_ceiling(8)
+    assert additive_poly(U) is f
+    assert pi_product(U) is pi
+    assert enumerate_vectors(U) == vectors
 
 
 def test_remembered_values_meet_the_term_limit():
@@ -504,7 +519,7 @@ def test_remembered_values_meet_the_term_limit():
     assert internal_quotient(V, U) is Q
 
 
-def test_hyperplanes_are_formed_once_and_meet_the_ceiling():
+def test_hyperplanes_are_formed_once_and_meet_the_ceiling(set_ceiling):
     R = setup_ring(q=3, n=3)
     V = span(R, R.gens())
     flags = enumerate_flags(V)
@@ -512,11 +527,13 @@ def test_hyperplanes_are_formed_once_and_meet_the_ceiling():
     assert len(H) == 13
     assert _hyperplanes(V) is H
     assert all(_hyperplanes(W) is _hyperplanes(W) for W in H)
+    set_ceiling(26)
     with pytest.raises(EnumerationTooLarge):
-        _hyperplanes(V, ceiling=26)
+        _hyperplanes(V)
     with pytest.raises(EnumerationTooLarge):
-        enumerate_flags(V, ceiling=26)
-    assert _hyperplanes(V, ceiling=27) is H
+        enumerate_flags(V)
+    set_ceiling(27)
+    assert _hyperplanes(V) is H
     assert enumerate_flags(V) == flags
     assert len({f.chain[1] for f in flags}) == 13
 
@@ -610,33 +627,33 @@ def test_subspace_counts_are_gaussian_binomials(ftext, n):
             assert dims.count(d) == gaussian_binomial(n, d, q)
 
 
-def test_subspace_enumeration_ceiling_error_is_unchanged():
+def test_subspace_enumeration_ceiling_error_is_unchanged(set_ceiling):
     R = ambient_ring(field_spec(3), 6)
     V = span(R, R.gens())
     message = "enumerating q^dim = 3^6 vectors exceeds the ceiling 243"
     with pytest.raises(EnumerationTooLarge) as exc:
         enumerate_subspaces(V)
     assert str(exc.value) == message
+    set_ceiling(26)
     with pytest.raises(EnumerationTooLarge) as exc:
-        enumerate_subspaces(span(R, R.gens()[:3]), ceiling=26)
+        enumerate_subspaces(span(R, R.gens()[:3]))
     assert str(exc.value) == "enumerating q^dim = 3^3 vectors exceeds the ceiling 26"
-    assert len(enumerate_subspaces(span(R, R.gens()[:3]), ceiling=27)) == 28
+    set_ceiling(27)
+    assert len(enumerate_subspaces(span(R, R.gens()[:3]))) == 28
 
 
-def test_global_ceiling_applies_where_none_is_given():
+def test_global_ceiling_applies_where_none_is_given(set_ceiling):
     R = setup_ring(q=2, n=5)
     V = span(R, R.gens())
-    saved = get_enumeration_ceiling()
-    try:
-        set_enumeration_ceiling(31)
-        with pytest.raises(EnumerationTooLarge, match="2\\^5 vectors exceeds the ceiling 31"):
-            enumerate_subspaces(V)
-        with pytest.raises(EnumerationTooLarge):
-            additive_poly(V)
-        assert len(enumerate_subspaces(V, ceiling=32)) == 374
-        with pytest.raises(ValueError):
-            set_enumeration_ceiling(0)
-        assert get_enumeration_ceiling() == 31
-    finally:
-        set_enumeration_ceiling(saved)
+    set_ceiling(31)
+    with pytest.raises(EnumerationTooLarge, match="2\\^5 vectors exceeds the ceiling 31"):
+        enumerate_subspaces(V)
+    with pytest.raises(EnumerationTooLarge):
+        additive_poly(V)
+    with pytest.raises(ValueError):
+        set_ceiling(0)
+    assert get_enumeration_ceiling() == 31
+    set_ceiling(32)
+    assert len(enumerate_subspaces(V)) == 374
+    set_ceiling(DEFAULT_ENUMERATION_CEILING)
     assert len(enumerate_subspaces(V)) == 374

@@ -17,7 +17,7 @@ from qschur.errors import (
 )
 from qschur.gf import field_spec, parse_field_spec
 from qschur.partitions import weight
-from qschur.ppoly import ambient_ring
+from qschur.ppoly import ambient_ring, get_term_limit, set_term_limit
 from qschur.schur import SchurContext
 from qschur.subspaces import (
     DEFAULT_ENUMERATION_CEILING,
@@ -261,8 +261,8 @@ def test_failures_render_both_sides(monkeypatch, identity):
         W, U, T = span(R, [x, y, x * y]), span(R, [x, y]), span(R, [x])
         honest_quot = subspaces.internal_quotient
 
-        def corrupt_quot(A, B, ceiling=None):
-            Q = honest_quot(A, B, ceiling)
+        def corrupt_quot(A, B):
+            Q = honest_quot(A, B)
             if A is W and B is U:
                 return span(R, list(Q.basis) + [R.one])
             return Q
@@ -420,6 +420,9 @@ def test_sweep_config_from_dict_refuses_booleans(key, flag):
     # JSON true and false are not the integers 1 and 0
     with pytest.raises(ConfigInvalid, match=f"^{key} must be an integer$"):
         SweepConfig.from_dict({"fields": ["q=2"], key: flag})
+    # a directly built config meets the same rule
+    with pytest.raises(ConfigInvalid, match=f"^{key} must be an integer$"):
+        SweepConfig(**{key: flag}).validate()
 
 
 def small_cfg(**kw):
@@ -498,6 +501,35 @@ def test_run_sweep_scopes_the_config_ceiling(monkeypatch):
     with pytest.raises(KeyError):
         run_sweep(small_cfg(identities=("quotient-tower",), ceiling=5))
     assert get_enumeration_ceiling() == DEFAULT_ENUMERATION_CEILING
+
+
+@pytest.mark.parametrize("fields,identities", [
+    (("q=5",), ("he-inverse", "h-factorization")),
+    (("q=2^2",), ("he-inverse",)),
+])
+def test_run_sweep_leaves_out_windows_past_the_term_limit(fields, identities):
+    # at n = 2 the windows need H_12 (he-inverse) and H_10 (h-factorization)
+    # on span(x, y): (q^13 - 1)/(q - 1) and (q^11 - 1)/(q - 1) terms, past
+    # the default limit at these q
+    report = run_sweep(small_cfg(fields=fields, identities=identities))
+    assert report["aggregate"]["failed"] == 0
+    assert {c["n"] for c in report["cases"]} == {0, 1}
+    assert {c["identity"] for c in report["cases"]} == set(identities)
+
+
+def test_window_cap_follows_the_term_limit():
+    # H_12 on span(x, y) at q=2 has 2^13 - 1 = 8191 terms
+    cfg = small_cfg(identities=("he-inverse",))
+    saved = get_term_limit()
+    try:
+        set_term_limit(8190)
+        assert {c["n"] for c in run_sweep(cfg)["cases"]} == {0, 1}
+        set_term_limit(8191)
+        report = run_sweep(cfg)
+    finally:
+        set_term_limit(saved)
+    assert {c["n"] for c in report["cases"]} == {0, 1, 2}
+    assert report["aggregate"]["failed"] == 0
 
 
 def product_random_poly(ring, rng, max_terms=2, max_exp=6, allow_zero=False):
