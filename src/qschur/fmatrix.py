@@ -1,16 +1,20 @@
 """Determinant calculus for matrices of polynomials.
 
-Two matrix shapes appear here. PolyMatrix is a finite dense matrix with
+Three array kinds appear here. PolyMatrix is a finite dense matrix with
 0-based indices. TriangularZMatrix is an infinite upper-triangular array
 indexed by arbitrary integers, given by an entry function; windows of it
 are materialized as PolyMatrix values. Entry functions must vanish below
 the diagonal, and that contract is asserted by sampling on every window a
-caller touches.
+caller touches. TwistedToeplitz is the triangular array whose cell (i, j)
+is phi^(i + offset) of a diagonal value D(j - i), phi the Frobenius twist,
+so that cell (i + 1, j + 1) is phi of cell (i, j): the H and E arrays of a
+subspace are of this kind.
 
 Determinants are computed by cofactor expansion with memoized minors, which
 is exact and fast at the sizes used here (at most seven rows). Each cofactor
-row sum, and each cell of a window product, is formed in one accumulator by
-ppoly.sum_of_products: its products are never built on their own.
+row sum, and each first-row cell of a window product, is formed in one
+accumulator by ppoly.sum_of_products: its products are never built on their
+own. The other window-product cells are Frobenius lifts of the first row.
 """
 
 from __future__ import annotations
@@ -141,39 +145,67 @@ class TriangularZMatrix:
                     )
 
     def __repr__(self) -> str:
-        return f"TriangularZMatrix({self.tag})"
+        return f"{type(self).__name__}({self.tag})"
+
+
+class TwistedToeplitz(TriangularZMatrix):
+    """Frobenius-twisted Toeplitz array: cell (i, j) is phi^(i + offset) of
+    the diagonal value diag(j - i), and zero for i > j.
+
+    Since phi is an injective ring endomorphism fixing F_q (Ore, "On a
+    special class of polynomials", Trans. AMS 35, 1933), cell (i + 1, j + 1)
+    is phi of cell (i, j), and a product of two such arrays has the same
+    property. diag(d) must return a ring element for every d >= 0.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, ring: PolyRing, diag: Callable[[int], Poly], offset: int, tag: str):
+        zero = ring.zero
+
+        def entry(i: int, j: int) -> Poly:
+            return diag(j - i).frobenius(i + offset) if i <= j else zero
+
+        super().__init__(ring, entry, tag)
 
 
 def window_product(
-    a: TriangularZMatrix, b: TriangularZMatrix, lo: int, hi: int
+    a: TwistedToeplitz, b: TwistedToeplitz, lo: int, hi: int
 ) -> PolyMatrix:
     """The product a*b restricted to rows and columns lo..hi.
 
     For upper-triangular arrays the (i, j) product entry is the finite sum
-    over k in [i, j], so the window is exact.
+    over k in [i, j], so the window is exact. Both operands must be
+    TwistedToeplitz arrays: the product's cell (lo + r, lo + s) is then
+    phi^r of its first-row cell (lo, lo + s - r), so only the first row is
+    summed, one sum of products per diagonal, and every other cell is a
+    lift of it. A lift by no more than the first-row cell's shift shares
+    its terms. Any other triangular array raises WindowInvalid.
     """
     if lo > hi:
         raise WindowInvalid(f"window [{lo}, {hi}] is empty")
+    for m in (a, b):
+        if not isinstance(m, TwistedToeplitz):
+            raise WindowInvalid(
+                f"window product of {m!r}, which is not a Frobenius-twisted Toeplitz array"
+            )
     if a.ring != b.ring:
         raise WindowInvalid("window product of arrays over different rings")
-    a.audit_window(lo, hi)
-    b.audit_window(lo, hi)
-    window = range(lo, hi + 1)
-    return PolyMatrix(a.ring, [[_product_entry(a, b, i, j) for j in window] for i in window])
-
-
-def _product_entry(a: TriangularZMatrix, b: TriangularZMatrix, i: int, j: int) -> Poly:
-    """Entry (i, j) of a*b for upper-triangular arrays: the sum over k in
-    [i, j] of a_ik * b_kj, zero when i > j. b_kj is not looked up when
-    a_ik vanishes."""
-    triples = []
-    for k in range(i, j + 1):
-        left = a.entry_fn(i, k)
-        if left.terms:
-            right = b.entry_fn(k, j)
-            if right.terms:
-                triples.append((1, left, right))
-    return sum_of_products(a.ring, triples)
+    ring = a.ring
+    size = hi - lo + 1
+    # cell (lo, lo + m) of a, looked up once for every diagonal that uses it
+    left = [a.entry_fn(lo, lo + m) for m in range(size)]
+    first = [
+        sum_of_products(ring, [
+            (1, left[m], b.entry_fn(lo + m, lo + d)) for m in range(d + 1) if left[m].terms
+        ])
+        for d in range(size)
+    ]
+    zero = ring.zero
+    return PolyMatrix(ring, [
+        [zero] * r + [first[s - r].frobenius(r) for s in range(r, size)]
+        for r in range(size)
+    ])
 
 
 def window_of(m: TriangularZMatrix, lo: int, hi: int) -> PolyMatrix:
@@ -235,7 +267,11 @@ def cauchy_binet(
         a.audit_window(lo, hi)
         b.audit_window(lo, hi)
 
-    direct = det(PolyMatrix(ring, [[_product_entry(a, b, i, j) for j in jj] for i in ii]))
+    direct = det(PolyMatrix(ring, [
+        [sum_of_products(ring, [(1, a.entry_fn(i, k), b.entry_fn(k, j)) for k in range(i, j + 1)])
+         for j in jj]
+        for i in ii
+    ]))
 
     addends = []
 

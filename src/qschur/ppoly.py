@@ -883,19 +883,9 @@ def evaluate_morphism(
     the target. target_ring is only needed for zero-variable sources. A
     result over the term limit raises TermLimitExceeded.
 
-    Bare-variable images relabel keys. Other images go by a q-adic Horner
-    scheme: write each exponent vector as D + q * e with D its lowest
-    base-q digits, and p_D for the sum of the terms with digits D, written
-    with exponents e. Then
-
-        p(images) = sum over D of images^D * phi(p_D(images)),
-
-    where phi raises every exponent by the factor q, since over F_q
-    phi(f) = f^q for every f (Lidl and Niederreiter, Finite Fields, ch. 2).
-    Applied level by level, in a loop over the digits, this multiplies out
-    only the digit monomials images^D, whose entries are below q, once per
-    call; each node adds its terms in one sum of products, and phi only
-    rescales keys.
+    One-term images map keys (_monomial_substitution); bare-variable images
+    in order return p's own terms. Other images go by a q-adic Horner
+    scheme (_horner_substitution).
     """
     ring = p.ring
     if ring.kind != "universal":
@@ -919,39 +909,83 @@ def evaluate_morphism(
         raise RingMismatch("substitution cannot change the coefficient field")
     if p.shift:
         raise FractionalExponent("substitution requires integer exponents")
-    spec = tring.spec
-    add_t = spec.add_table
-    elems = spec.elements
-    limit = _term_limit
-    n, nt, w = ring.nvars, tring.nvars, p.width
-    varmap = _variable_images(images)
-    if varmap is not None:
-        # Plain variable images: substitution is a relabeling, no products,
-        # and the total degree, hence the width, is unchanged.
-        if len(p.terms) > limit:
-            raise _over_limit("substitution", len(p.terms))
-        if varmap == list(range(nt)):
-            return Poly(tring, p.terms, 0, w, p._lead)
-        mask = (1 << w) - 1
-        moves = [((n - 1 - i) * w, (nt - 1 - t) * w) for i, t in enumerate(varmap)]
-        acc: dict = {}
-        get = acc.get
-        for m, c in p.terms.items():
-            mm = (m >> (n * w)) << (nt * w)
-            for s, t in moves:
-                mm += ((m >> s) & mask) << t
-            prev = get(mm)
-            if prev is None:
-                acc[mm] = c.idx
-            else:
-                s = add_t[prev][c.idx]
-                if s:
-                    acc[mm] = s
-                else:
-                    del acc[mm]
-        return _poly(tring, {m: elems[i] for m, i in acc.items()}, 0, w)
     if not p.terms:
         return tring.zero
+    if all(len(im.terms) == 1 for im in images):
+        return _monomial_substitution(p, images, tring)
+    return _horner_substitution(p, images, tring)
+
+
+def _monomial_substitution(p: Poly, images: list[Poly], tring: PolyRing) -> Poly:
+    """p(images) for images c_i x^(u_i) of one term each: the term c x^v
+    goes to c prod c_i^(v_i) x^(sum v_i u_i), so each key maps to
+    sum v_i key(u_i) and no product is formed. Since c_i^(q - 1) = 1 in
+    F_q, the powers c_i^(v_i) are read off at v_i mod (q - 1). When the
+    images are the target's variables in order, p's own terms are returned.
+    """
+    if len(p.terms) > _term_limit:
+        raise _over_limit("substitution", len(p.terms))
+    if tuple(images) == tring.gens():
+        return Poly(tring, p.terms, 0, p.width, p._lead)
+    spec = tring.spec
+    q, n, nt, w = spec.q, p.ring.nvars, tring.nvars, p.width
+    d = max((im.shift for im in images), default=0)
+    monos = [next(iter(im.terms.items())) for im in images]
+    # every exponent field of the result is at most deg p times the largest
+    # image degree, so this width holds it; _poly fits the width afterwards
+    wt = _width((p._leading() >> (n * w)) * max(
+        ((k >> (nt * im.width)) * q ** (d - im.shift) for im, (k, _) in zip(images, monos)),
+        default=0,
+    ))
+    # the field of variable i moves to the key of image i, written over q^d
+    # at width wt
+    moves = []
+    for i, (im, (k, _)) in enumerate(zip(images, monos)):
+        if im.width != wt or im.shift != d:
+            k = _pack([e * q ** (d - im.shift) for e in _unpack(k, nt, im.width)], wt)
+        moves.append(((n - 1 - i) * w, k))
+    # for each image with c_i != 1: its field's shift, and c_i^e for e < q - 1
+    scales = [((n - 1 - i) * w, [(c**e).idx for e in range(q - 1)])
+              for i, (_, c) in enumerate(monos) if c.idx != 1]
+    mask = (1 << w) - 1
+    mul_t, add_t, elems = spec.mul_table, spec.add_table, spec.elements
+    acc: dict = {}
+    get = acc.get
+    for m, c in p.terms.items():
+        mm = 0
+        for s, key in moves:
+            mm += ((m >> s) & mask) * key
+        ci = c.idx
+        for s, row in scales:
+            ci = mul_t[ci][row[((m >> s) & mask) % (q - 1)]]
+        prev = get(mm)
+        if prev is None:
+            acc[mm] = ci
+        else:
+            t = add_t[prev][ci]
+            if t:
+                acc[mm] = t
+            else:
+                del acc[mm]
+    return _poly(tring, {m: elems[i] for m, i in acc.items()}, d, wt)
+
+
+def _horner_substitution(p: Poly, images: list[Poly], tring: PolyRing) -> Poly:
+    """p(images), p nonzero, by a q-adic Horner scheme: write each
+    exponent vector as D + q * e with D its lowest base-q digits, and p_D
+    for the sum of the terms with digits D, written with exponents e. Then
+
+        p(images) = sum over D of images^D * phi(p_D(images)),
+
+    where phi raises every exponent by the factor q, since over F_q
+    phi(f) = f^q for every f (Lidl and Niederreiter, Finite Fields, ch. 2).
+    Applied level by level, in a loop over the digits, this multiplies out
+    only the digit monomials images^D, whose entries are below q, once per
+    call; each node adds its terms in one sum of products, and phi only
+    rescales keys.
+    """
+    spec = tring.spec
+    n, w = p.ring.nvars, p.width
     # One pass per base-q digit, highest first. After the pass for digit k,
     # values maps each residue r = v mod q^k of the exponent vectors v to
     # p_r(images), where p_r holds the terms with v = r (mod q^k), written

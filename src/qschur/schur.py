@@ -94,10 +94,13 @@ class SchurContext:
       complete flag;
     - pieri, coproduct, coproduct-truncation: skew values on a quotient
       against expansions in skew values on V and tilde values on U;
-    - he-inverse: the H_r array against the E_r array, both substituted
-      universal quotients of different shapes on the bare basis;
+    - he-inverse: the product of the H_r array and the E_r array, both
+      substituted universal quotients of different shapes on the bare
+      basis, against the identity; both arrays are Frobenius-twisted
+      Toeplitz arrays, so the product sums only its first window row and
+      lifts the rest by phi;
     - h-factorization: the H_r array of V against the product of those of
-      V // U and U;
+      V // U and U, formed the same way;
     - hook-step, full-column-reduction: values against pi(U) times values of
       smaller shapes;
     - gl-invariance, functoriality: schur_S against schur_on_basis, and
@@ -249,20 +252,18 @@ class SchurContext:
 
     # Triangular arrays ----------------------------------------------------
 
-    def h_matrix(self, V: Subspace, twist: int = 0) -> fmatrix.TriangularZMatrix:
+    def h_matrix(self, V: Subspace, twist: int = 0) -> fmatrix.TwistedToeplitz:
         """Entries phi^(i + 1 + twist) H_(j - i)(V); unitriangular."""
-        return fmatrix.TriangularZMatrix(
-            V.ring,
-            lambda i, j: self.h_r(j - i, V).frobenius(i + 1 + twist),
-            tag=f"H[{V.describe()}]+{twist}",
+        return fmatrix.TwistedToeplitz(
+            V.ring, lambda d: self.h_r(d, V), 1 + twist, tag=f"H[{V.describe()}]+{twist}",
         )
 
-    def e_matrix(self, V: Subspace) -> fmatrix.TriangularZMatrix:
-        """Entries (-1)^(j - i) phi^j E_(j - i)(V); unitriangular."""
-        spec = self.spec
-        return fmatrix.TriangularZMatrix(
-            V.ring,
-            lambda i, j: self.e_r(j - i, V).frobenius(j).scale(spec.sign(j - i)),
+    def e_matrix(self, V: Subspace) -> fmatrix.TwistedToeplitz:
+        """Entries (-1)^(j - i) phi^j E_(j - i)(V), that is phi^i of the
+        diagonal value (-1)^d phi^d E_d(V) at d = j - i; unitriangular."""
+        sign = self.spec.sign
+        return fmatrix.TwistedToeplitz(
+            V.ring, lambda d: self.e_r(d, V).frobenius(d).scale(sign(d)), 0,
             tag=f"E[{V.describe()}]",
         )
 

@@ -12,6 +12,7 @@ from qschur.errors import (
 from qschur.fmatrix import (
     PolyMatrix,
     TriangularZMatrix,
+    TwistedToeplitz,
     cauchy_binet,
     det,
     scale_sign_det,
@@ -20,8 +21,10 @@ from qschur.fmatrix import (
     window_of,
     window_product,
 )
-from qschur.gf import field_spec
-from qschur.ppoly import ambient_ring
+from qschur.gf import field_spec, parse_field_spec
+from qschur.ppoly import ambient_ring, sum_of_products
+from qschur.schur import SchurContext
+from qschur.subspaces import enumerate_subspaces, internal_quotient, span
 
 
 def ring3():
@@ -113,18 +116,94 @@ def test_audit_rejects_lower_entries():
         bad.audit_window(-1, 1)
 
 
+def cell_by_cell(a, b, lo, hi):
+    """Reference window product: every cell (i, j) is the sum over k in
+    [i, j] of a_ik * b_kj, formed on its own."""
+    ring = a.ring
+    window = range(lo, hi + 1)
+    return PolyMatrix(ring, [
+        [sum_of_products(ring, [(1, a.entry(i, k), b.entry(k, j)) for k in range(i, j + 1)])
+         for j in window]
+        for i in window
+    ])
+
+
+def twisted_band(ring, x):
+    """Twisted unitriangular band: cell (i, i + 1) is phi^i(x)."""
+    return TwistedToeplitz(ring, lambda d: (ring.one, x)[d] if d < 2 else ring.zero, 0, "band")
+
+
 def test_window_product_matches_hand_square():
     R = ring3()
     x, _ = R.gens()
-    m = band(R, x)
-    got = window_product(m, m, 0, 2)
-    # (I + xN)^2 = I + 2xN + x^2 N^2 on a 3-window
+    m = twisted_band(R, x)
+    # cell (i, i + 1) is 2 x^(3^i), cell (i, i + 2) is x^(3^i) x^(3^(i + 1))
     expect = PolyMatrix(R, [
-        [R.one, 2 * x, x * x],
+        [R.one, 2 * x, x**4],
+        [R.zero, R.one, 2 * x**3],
+        [R.zero, R.zero, R.one],
+    ])
+    assert window_product(m, m, 0, 2) == expect
+    # from row -1 on, the first row is fractional and its lifts share terms
+    r = x.frobenius(-1)
+    expect = PolyMatrix(R, [
+        [R.one, 2 * r, r * x],
         [R.zero, R.one, 2 * x],
         [R.zero, R.zero, R.one],
     ])
+    got = window_product(m, m, -1, 1)
     assert got == expect
+    assert str(got.entry(0, 2)) == "x^4/3"
+    assert got == cell_by_cell(m, m, -1, 1)
+
+
+def test_window_product_refuses_plain_arrays():
+    R = ring3()
+    x, _ = R.gens()
+    plain, twisted = band(R, x), twisted_band(R, x)
+    for a, b in ((plain, plain), (plain, twisted), (twisted, plain)):
+        with pytest.raises(WindowInvalid, match="band"):
+            window_product(a, b, 0, 2)
+    with pytest.raises(WindowInvalid):
+        window_product(twisted, twisted, 2, 1)
+
+
+# Window widths hi - lo of the differential test, kept small enough that the
+# one-row values the arrays need stay cheap. Over F_9, H_1 of span(x, y, z)
+# passes the term limit and the 184 subspaces pass the enumeration ceiling,
+# so at n = 3 only the arrays of the proper coordinate subspaces and of
+# their quotients are multiplied there.
+WINDOW_WIDTHS = {
+    ("q=2", 1): 6, ("q=2", 2): 6, ("q=2", 3): 4,
+    ("q=3", 1): 5, ("q=3", 2): 5, ("q=3", 3): 3,
+    ("q=2^2", 1): 5, ("q=2^2", 2): 4, ("q=2^2", 3): 2,
+    ("q=3^2", 1): 4, ("q=3^2", 2): 3, ("q=3^2", 3): 2,
+}
+
+
+@pytest.mark.parametrize("ftext, n", sorted(WINDOW_WIDTHS))
+def test_window_product_matches_the_cell_by_cell_sum(ftext, n):
+    """window_product against the cell-by-cell sum on every pair of arrays
+    the library multiplies, on windows that start at a negative row (a
+    fractional first row) and end at a positive one."""
+    spec = parse_field_spec(ftext)
+    ctx = SchurContext(spec)
+    R = ambient_ring(spec, n)
+    V = span(R, R.gens())
+    width = WINDOW_WIDTHS[ftext, n]
+    lo, hi = -1 - width // 2, width - 1 - width // 2
+    if spec.q ** n > 81:
+        gens = R.gens()
+        pairs = [(span(R, gens[:k]), V) for k in range(1, n)]
+    else:
+        pairs = [(U, V) for U in enumerate_subspaces(V)]
+        pairs.append((None, V))
+    for U, W in pairs:
+        if U is None:
+            a, b = ctx.h_matrix(W), ctx.e_matrix(W)
+        else:
+            a, b = ctx.h_matrix(internal_quotient(W, U)), ctx.h_matrix(U, twist=W.dim - U.dim)
+        assert window_product(a, b, lo, hi) == cell_by_cell(a, b, lo, hi), (U, W)
 
 
 def test_sub_minor_indices_decrease():

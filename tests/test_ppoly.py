@@ -24,6 +24,7 @@ from qschur.ppoly import (
     ambient_ring,
     evaluate_morphism,
     _guards,
+    _horner_substitution,
     _pack,
     _unpack,
     _width,
@@ -892,6 +893,50 @@ def test_substitution_matches_sympy_composition(ftext, data, n):
         {X: to_sympy(im, ys).as_expr() for X, im in zip(xs, images)}, simultaneous=True)
     want = sympy.Poly(composed, *ys, modulus=spec.p)
     assert evaluate_morphism(p, images, target_ring=A) == from_sympy(want, A)
+
+
+@st.composite
+def monomial_images(draw, target, count):
+    """count one-term images c x^u: any nonzero coefficient, exponents that
+    are 0, 1, 2, q, q + 1 or q^2, and now and then a fractional image."""
+    spec = target.spec
+    q = spec.q
+    images = []
+    for _ in range(count):
+        v = [draw(st.sampled_from([0, 1, 2, q, q + 1, q * q])) for _ in range(target.nvars)]
+        im = target.from_terms([(v, spec.elements[draw(st.integers(1, q - 1))])])
+        if draw(st.integers(0, 3)) == 0:
+            im = im.frobenius(-draw(st.integers(1, 2)))
+        images.append(im)
+    return images
+
+
+@pytest.mark.parametrize("ftext", SUBSTITUTION_FIELDS)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_monomial_images_match_the_horner_route(ftext, data, n):
+    spec = parse_field_spec(ftext)
+    U, A = universal_ring(spec, n), ambient_ring(spec, 3)
+    p = data.draw(digit_sources(U))
+    images = data.draw(monomial_images(A, n))
+    got = evaluate_morphism(p, images, target_ring=A)
+    if p.terms:
+        agree_fully(got, _horner_substitution(p, images, A))
+    agree_fully(got, reference_substitution(p, images, A))
+
+
+def test_monomial_images_by_hand():
+    spec = field_spec(5)
+    U, A = universal_ring(spec, 2), ambient_ring(spec, 2)
+    x1, x2 = U.gens()
+    x, y = A.gens()
+    p = x1**3 * x2 + 2 * x1**7
+    # 2^3 * 3 = 24 = 4 and 2 * 2^7 = 256 = 1 over F_5
+    assert evaluate_morphism(p, [2 * x, 3 * y**5]) == 4 * x**3 * y**5 + x**7
+    # terms that meet on one key cancel
+    assert evaluate_morphism(x1 + 4 * x2, [x, x]).is_zero()
+    # the variables in order return the source's own terms
+    assert evaluate_morphism(p, [x, y]).terms is p.terms
+    assert evaluate_morphism(p, [y, x]) == x * y**3 + 2 * y**7
 
 
 @pytest.mark.parametrize("ftext", SUBSTITUTION_FIELDS)

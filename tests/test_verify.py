@@ -203,6 +203,26 @@ def test_matrix_lemma_failures_render_both_sides(monkeypatch, identity):
         assert {(r.lhs, r.rhs) for r in reps} == {("1", "0")}
 
 
+def test_a_wrong_diagonal_value_shows_in_lifted_cells(monkeypatch):
+    """H_3 + 1 in place of H_3: he-inverse fails, and every diagonal that
+    uses H_3 differs in every window cell, the lifted rows included, so a
+    Frobenius lift of the first row does not hide the corruption."""
+    spec, ctx, R, V = make(q=3)
+    honest = ctx.h_r
+    monkeypatch.setattr(ctx, "h_r",
+                        lambda r, W: honest(r, W) + R.one if r == 3 else honest(r, W))
+    lo, hi = -3, 3
+    rep = check_he_inverse(ctx, V, lo, hi)
+    assert rep.status == "fail"
+    cells = [tuple(int(k) for k in cell.split(": ")[0].strip("()").split(","))
+             for cell in rep.lhs.split("; ")]
+    # cell (i, j) gains +-phi^j E_(j - i - 3), nonzero for j - i in 3..3 + dim V
+    diagonals = set(range(3, 3 + V.dim + 1))
+    assert {j - i for i, j in cells} == diagonals
+    for d in diagonals:
+        assert [i for i, j in cells if j - i == d] == list(range(lo, hi - d + 1)), d
+
+
 @pytest.mark.parametrize("identity", ["gl-invariance", "pi-of-line", "division-round-trip",
                                       "he-inverse", "h-factorization", "hook-step",
                                       "quotient-tower", "coset-product", "power-sum-zero",
