@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
@@ -26,6 +27,7 @@ from .errors import (
     QschurError,
 )
 from .gf import FieldSpec, parse_field_spec, power_sum
+from .partitions import partitions_up_to_weight
 from .ppoly import (
     Poly,
     PolyRing,
@@ -48,48 +50,6 @@ from .subspaces import (
     pi_product,
     span,
 )
-
-GROUPS = {
-    "vl-recursion": ("vl-recursion",),
-    "straight-recursion": ("straight-recursion",),
-    "flag-formula": ("flag-formula",),
-    "pieri": ("pieri",),
-    "coproduct": ("coproduct",),
-    "matrix-calculus": (
-        "he-inverse",
-        "h-factorization",
-        "cauchy-binet",
-        "sign-scaled-det",
-        "zero-block-det",
-    ),
-    "subspace-calculus": (
-        "quotient-tower",
-        "coset-product",
-        "pi-flag-product",
-        "hook-step",
-        "full-column-reduction",
-    ),
-    "elementary": (
-        "power-sum-zero",
-        "line-sum",
-        "pi-of-line",
-        "low-degree-point-sum",
-        "vector-power-sum",
-        "perm-witness",
-    ),
-    "structural": (
-        "gl-invariance",
-        "k-independence",
-        "vanishing",
-        "division-round-trip",
-        "degree-formula",
-        "functoriality",
-        "coproduct-truncation",
-    ),
-}
-
-ALL_IDENTITIES = tuple(name for members in GROUPS.values() for name in members)
-
 
 @dataclass
 class CaseReport:
@@ -124,10 +84,12 @@ class CaseReport:
         return (self.identity, self.q, self.n, self.lam, self.mu, self.basis)
 
 
-def _case(identity, ctx_q, V_or_n, lam, mu, t0, ok, lhs_text, rhs_text,
+def _case(identity, ctx_q, V_or_n, lam, mu, t0, ok, lhs, rhs,
           basis=None) -> CaseReport:
-    """Assemble a report; sides are only rendered on failure. basis defaults
-    to the description of V, or to "" when a dimension is given."""
+    """Assemble a report. The sides lhs and rhs are values, rendered with
+    str() only on failure; a callable side is called for its text instead,
+    for a side that is formed only on failure. basis defaults to the
+    description of V, or to "" when a dimension is given."""
     if isinstance(V_or_n, Subspace):
         n = V_or_n.dim
         if basis is None:
@@ -145,8 +107,8 @@ def _case(identity, ctx_q, V_or_n, lam, mu, t0, ok, lhs_text, rhs_text,
     )
     if not ok:
         rep.status = "fail"
-        rep.lhs = lhs_text() if callable(lhs_text) else str(lhs_text)
-        rep.rhs = rhs_text() if callable(rhs_text) else str(rhs_text)
+        rep.lhs = lhs() if callable(lhs) else str(lhs)
+        rep.rhs = rhs() if callable(rhs) else str(rhs)
     return rep
 
 
@@ -169,8 +131,7 @@ def check_vl_recursion(ctx: SchurContext, lam, mu, V: Subspace, summand_fn=None)
     rhs = V.ring.zero
     for L in enumerate_lines(V):
         rhs = rhs + summand_fn(lam, mu, V, L)
-    return _case("vl-recursion", ctx.spec.q, V, lam, mu, t0,
-                 lhs == rhs, lambda: str(lhs), lambda: str(rhs))
+    return _case("vl-recursion", ctx.spec.q, V, lam, mu, t0, lhs == rhs, lhs, rhs)
 
 
 def check_straight_recursion(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
@@ -202,8 +163,7 @@ def check_straight_recursion(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
         and evaluate_morphism(u_lhs, images, target_ring=V.ring) == lhs
         and evaluate_morphism(u_rhs, images, target_ring=V.ring) == rhs
     )
-    return _case("straight-recursion", ctx.spec.q, V, lam, (), t0,
-                 ok, lambda: str(lhs), lambda: str(rhs))
+    return _case("straight-recursion", ctx.spec.q, V, lam, (), t0, ok, lhs, rhs)
 
 
 def check_flag_formula(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
@@ -220,8 +180,7 @@ def check_flag_formula(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
             Q = internal_quotient(flag.chain[i - 1], flag.chain[i])
             term = term * ctx.h_r(partitions.part(lam, i), Q)
         rhs = rhs + term
-    return _case("flag-formula", ctx.spec.q, V, lam, (), t0,
-                 lhs == rhs, lambda: str(lhs), lambda: str(rhs))
+    return _case("flag-formula", ctx.spec.q, V, lam, (), t0, lhs == rhs, lhs, rhs)
 
 
 def check_pieri(ctx: SchurContext, lam, mu, V: Subspace, ell: Poly) -> CaseReport:
@@ -233,8 +192,7 @@ def check_pieri(ctx: SchurContext, lam, mu, V: Subspace, ell: Poly) -> CaseRepor
     L = span(V.ring, [ell])
     lhs = ctx.skew_S(lam, mu, internal_quotient(V, L))
     rhs = ctx.pieri_expand(lam, mu, V, ell)
-    return _case("pieri", ctx.spec.q, V, lam, mu, t0,
-                 lhs == rhs, lambda: str(lhs), lambda: str(rhs))
+    return _case("pieri", ctx.spec.q, V, lam, mu, t0, lhs == rhs, lhs, rhs)
 
 
 def check_coproduct(ctx: SchurContext, lam, mu, V: Subspace, U: Subspace) -> CaseReport:
@@ -245,8 +203,7 @@ def check_coproduct(ctx: SchurContext, lam, mu, V: Subspace, U: Subspace) -> Cas
     mu = partitions.partition(mu)
     total = ctx.coproduct_expand(lam, mu, V, U)
     lhs = ctx.skew_S(lam, mu, internal_quotient(V, U))
-    return _case("coproduct", ctx.spec.q, V, lam, mu, t0,
-                 lhs == total, lambda: str(lhs), lambda: str(total))
+    return _case("coproduct", ctx.spec.q, V, lam, mu, t0, lhs == total, lhs, total)
 
 
 # Matrix calculus ----------------------------------------------------------
@@ -348,8 +305,7 @@ def check_matrix_lemmas(spec: FieldSpec, seed: int, trials: int = 50) -> list[Ca
         total = ring.zero
         for _, left, right in addends:
             total = total + left * right
-        reports.append(_case("cauchy-binet", spec.q, 2, (), (), t0, direct == total,
-                             lambda: str(direct), lambda: str(total),
+        reports.append(_case("cauchy-binet", spec.q, 2, (), (), t0, direct == total, direct, total,
                              basis=f"trial {t} rows {ii} cols {jj}"))
 
     for t in range(trials):
@@ -364,8 +320,7 @@ def check_matrix_lemmas(spec: FieldSpec, seed: int, trials: int = 50) -> list[Ca
         nu = partitions.partition(sorted((rng.randint(0, 3) for _ in range(rng.randint(0, u))), reverse=True))
         lhs = fmatrix.scale_sign_det(c, lam, nu)
         rhs = fmatrix.det(c).scale(spec.sign(partitions.weight(lam) - partitions.weight(nu)))
-        reports.append(_case("sign-scaled-det", spec.q, 2, (), (), t0, lhs == rhs,
-                             lambda: str(lhs), lambda: str(rhs),
+        reports.append(_case("sign-scaled-det", spec.q, 2, (), (), t0, lhs == rhs, lhs, rhs,
                              basis=f"trial {t} size {u} lam {lam} nu {nu}"))
 
     for t in range(trials):
@@ -422,8 +377,7 @@ def check_pi_flag_product(flag: Flag, q: int) -> CaseReport:
     rhs = V.ring.one
     for big, small in zip(flag.chain, flag.chain[1:]):
         rhs = rhs * pi_product(internal_quotient(big, small))
-    return _case("pi-flag-product", q, V, (), (), t0,
-                 lhs == rhs, lambda: str(lhs), lambda: str(rhs))
+    return _case("pi-flag-product", q, V, (), (), t0, lhs == rhs, lhs, rhs)
 
 
 def check_hook_step(ctx: SchurContext, U: Subspace, r: int) -> CaseReport:
@@ -435,8 +389,7 @@ def check_hook_step(ctx: SchurContext, U: Subspace, r: int) -> CaseReport:
         raise HypothesisViolated(f"hook step needs r >= 1, got {r}")
     lhs = subspaces.pi_product(U) * ctx.h_r(r - 1, U).frobenius(1)
     rhs = -ctx.h_r(r, U)
-    return _case("hook-step", ctx.spec.q, U, (r,), (), t0, lhs == rhs,
-                 lambda: str(lhs), lambda: str(rhs))
+    return _case("hook-step", ctx.spec.q, U, (r,), (), t0, lhs == rhs, lhs, rhs)
 
 
 def check_full_column(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
@@ -444,8 +397,7 @@ def check_full_column(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
     lam = partitions.partition(lam)
     lhs = ctx.schur_S(lam, V)
     rhs = ctx.fullhouse_reduce(lam, V)
-    return _case("full-column-reduction", ctx.spec.q, V, lam, (), t0,
-                 lhs == rhs, lambda: str(lhs), lambda: str(rhs))
+    return _case("full-column-reduction", ctx.spec.q, V, lam, (), t0, lhs == rhs, lhs, rhs)
 
 
 # Elementary lemmas --------------------------------------------------------
@@ -477,7 +429,7 @@ def check_elementary_lemmas(spec: FieldSpec, n: int, seed: int = 0, trials: int 
     if n >= 1:
         t0 = time.perf_counter()
         lines = enumerate_lines(V)
-        ok = True
+        lhs = rhs = ring.zero
         for _ in range(trials):
             b = {L: _random_poly(ring, rng, max_terms=2, max_exp=4, allow_zero=True)
                  for L in lines}
@@ -487,12 +439,10 @@ def check_elementary_lemmas(spec: FieldSpec, n: int, seed: int = 0, trials: int 
             rhs = ring.zero
             for w in enumerate_vectors(V):
                 if w.terms:
-                    rhs = rhs + b[span(ring, [w])]
-            if lhs != -rhs:
-                ok = False
+                    rhs = rhs - b[span(ring, [w])]
+            if lhs != rhs:
                 break
-        reports.append(_case("line-sum", q, V, (), (), t0, ok,
-                             lambda: str(lhs), lambda: str(-rhs)))
+        reports.append(_case("line-sum", q, V, (), (), t0, lhs == rhs, lhs, rhs))
 
     if n == 2:
         t0 = time.perf_counter()
@@ -504,8 +454,7 @@ def check_elementary_lemmas(spec: FieldSpec, n: int, seed: int = 0, trials: int 
             rhs = -(w ** (q - 1))
             if lhs != rhs:
                 break
-        reports.append(_case("pi-of-line", q, V, (), (), t0, lhs == rhs,
-                             lambda: str(lhs), lambda: str(rhs)))
+        reports.append(_case("pi-of-line", q, V, (), (), t0, lhs == rhs, lhs, rhs))
 
     if n >= 2:
         t0 = time.perf_counter()
@@ -522,15 +471,14 @@ def check_elementary_lemmas(spec: FieldSpec, n: int, seed: int = 0, trials: int 
                     break
             if bad:
                 break
-        reports.append(_case("vector-power-sum", q, V, (), (), t0, bad is None,
-                             lambda: str(total), "0",
+        reports.append(_case("vector-power-sum", q, V, (), (), t0, bad is None, total, "0",
                              basis=V.describe() + (" k={} a={}".format(*bad) if bad else "")))
 
     if 1 <= n <= 3:
         t0 = time.perf_counter()
         degree_bound = n * (q - 1)
         coeff_ring = ambient_ring(spec, 2)
-        ok = True
+        total = coeff_ring.zero
         for _ in range(trials):
             terms = []
             for _ in range(rng.randint(1, 5)):
@@ -544,10 +492,8 @@ def check_elementary_lemmas(spec: FieldSpec, n: int, seed: int = 0, trials: int 
                         factor = factor * alpha**e
                     total = total + coeff.scale(factor)
             if not total.is_zero():
-                ok = False
                 break
-        reports.append(_case("low-degree-point-sum", q, n, (), (), t0, ok,
-                             lambda: str(total), "0"))
+        reports.append(_case("low-degree-point-sum", q, n, (), (), t0, total.is_zero(), total, "0"))
     return reports
 
 
@@ -603,7 +549,7 @@ def _check_perm_witness(q: int) -> list[CaseReport]:
         t0 = time.perf_counter()
         bad = _perm_witness_search(witness, size)
         reports.append(_case("perm-witness", q, size, (), (), t0, bad is None,
-                             lambda bad=bad: "perm_witness({}, {}, {}) = {}".format(*bad),
+                             lambda: "perm_witness({}, {}, {}) = {}".format(*bad),
                              "alpha_i - beta_sigma(i) outside {0, 1}"))
     return reports
 
@@ -633,8 +579,7 @@ def check_gl_invariance(ctx: SchurContext, lam, V: Subspace, seed: int, changes:
         changed = ctx.schur_on_basis(lam, vectors, V.ring)
         if changed != base:
             break
-    return _case("gl-invariance", spec.q, V, lam, (), t0, changed == base,
-                 lambda: str(changed), lambda: str(base))
+    return _case("gl-invariance", spec.q, V, lam, (), t0, changed == base, changed, base)
 
 
 def check_k_independence(ctx: SchurContext, lam, mu, V: Subspace) -> CaseReport:
@@ -644,8 +589,7 @@ def check_k_independence(ctx: SchurContext, lam, mu, V: Subspace) -> CaseReport:
     least = max(len(lam), len(mu))
     a = ctx.skew_S(lam, mu, V)
     b = ctx.skew_S(lam, mu, V, k=least + 1)
-    return _case("k-independence", ctx.spec.q, V, lam, mu, t0,
-                 a == b, lambda: str(a), lambda: str(b))
+    return _case("k-independence", ctx.spec.q, V, lam, mu, t0, a == b, a, b)
 
 
 def check_vanishing(ctx: SchurContext, lam, mu, V: Subspace, U: Subspace) -> list[CaseReport]:
@@ -657,15 +601,13 @@ def check_vanishing(ctx: SchurContext, lam, mu, V: Subspace, U: Subspace) -> lis
     if not partitions.contains(lam, mu):
         t0 = time.perf_counter()
         val = ctx.skew_S(lam, mu, V)
-        reports.append(_case("vanishing", ctx.spec.q, V, lam, mu, t0,
-                             val.is_zero(), lambda: str(val), "0"))
+        reports.append(_case("vanishing", ctx.spec.q, V, lam, mu, t0, val.is_zero(), val, "0"))
     k = max(len(lam), len(mu), 1)
     if any(not 0 <= partitions.part(lam, i) - partitions.part(mu, i) <= U.dim
            for i in range(1, k + 1)):
         t0 = time.perf_counter()
         val = ctx.tilde_S(lam, mu, U)
-        reports.append(_case("vanishing", ctx.spec.q, U, lam, mu, t0,
-                             val.is_zero(), lambda: str(val), "0",
+        reports.append(_case("vanishing", ctx.spec.q, U, lam, mu, t0, val.is_zero(), val, "0",
                              basis="tilde:" + U.describe()))
     return reports
 
@@ -695,7 +637,7 @@ def check_division_round_trip(spec: FieldSpec, seed: int, pairs: int = 200) -> C
             except NotDivisible:
                 pass
     return _case("division-round-trip", spec.q, 2, (), (), t0, want is None,
-                 lambda: str(got), lambda: str(want), basis=f"pairs={pairs}")
+                 got, want, basis=f"pairs={pairs}")
 
 
 def check_degree_formula(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
@@ -709,7 +651,7 @@ def check_degree_formula(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
     degs = val.degrees()
     ok = degs == {expected} or (expected == 0 and val.is_one())
     return _case("degree-formula", q, V, lam, (), t0, ok,
-                 lambda: "degrees " + str(sorted(degs)), str(expected))
+                 lambda: "degrees " + str(sorted(degs)), expected)
 
 
 def check_functoriality(ctx: SchurContext, lam, n: int, ring: PolyRing, seed: int) -> CaseReport:
@@ -731,8 +673,7 @@ def check_functoriality(ctx: SchurContext, lam, n: int, ring: PolyRing, seed: in
             break
     pushed = evaluate_morphism(ctx.universal_schur(lam, n), images, target_ring=ring)
     direct = ctx.schur_S(lam, W)
-    return _case("functoriality", spec.q, W, lam, (), t0,
-                 pushed == direct, lambda: str(pushed), lambda: str(direct))
+    return _case("functoriality", spec.q, W, lam, (), t0, pushed == direct, pushed, direct)
 
 
 def check_coproduct_truncation(ctx: SchurContext, lam, mu, nu, V: Subspace, U: Subspace) -> CaseReport:
@@ -745,9 +686,141 @@ def check_coproduct_truncation(ctx: SchurContext, lam, mu, nu, V: Subspace, U: S
         raise ConfigInvalid(f"{nu} lies between {mu} and {lam}; pick an outside shape")
     m = V.dim - U.dim
     term = ctx.skew_S(nu, mu, V) * ctx.tilde_S(lam, nu, U).frobenius(m)
-    return _case("coproduct-truncation", ctx.spec.q, V, lam, mu, t0,
-                 term.is_zero(), lambda: str(term), "0",
+    return _case("coproduct-truncation", ctx.spec.q, V, lam, mu, t0, term.is_zero(), term, "0",
                  basis=f"{V.describe()} // {U.describe()} at nu={nu}")
+
+
+# Identity table -----------------------------------------------------------
+
+
+def _pair_grid(max_weight: int, max_len: int | None) -> list[tuple]:
+    """All (lam, mu) with the stated weight/length caps and |mu| <= |lam|."""
+    lams = partitions_up_to_weight(max_weight, max_len)
+    return [(lam, mu) for lam in lams for mu in lams
+            if partitions.weight(mu) <= partitions.weight(lam)]
+
+
+def _weight_cap(cfg, n: int) -> int:
+    """The weight cap of the structural grids: at most 2 from dimension 3 on."""
+    return cfg.max_weight if n <= 2 else min(cfg.max_weight, 2)
+
+
+def _window_fits(q: int, n: int, w: int) -> bool:
+    """Whether a window's largest value H_w on n <= 2 generic coordinates,
+    one term for n < 2 and (q^(w+1) - 1)/(q - 1) at n = 2, fits the term limit."""
+    return n < 2 or (q ** (w + 1) - 1) // (q - 1) <= get_term_limit()
+
+
+def _he_inverse_cases(cfg, ctx, V):
+    n = V.dim
+    if _window_fits(ctx.spec.q, n, 2 * n + 8):
+        yield check_he_inverse(ctx, V, -(n + 4), n + 4)
+
+
+def _factorization_cases(cfg, ctx, V):
+    if _window_fits(ctx.spec.q, V.dim, 2 * V.dim + 6):
+        for U in enumerate_subspaces(V):
+            yield check_factorization(ctx, V, U)
+
+
+def _truncation_cases(cfg, ctx, ring):
+    if cfg.max_dim >= 2:
+        V, U = span(ring, ring.gens()[:2]), span(ring, [ring.gen(0)])
+        yield check_coproduct_truncation(ctx, (2,), (), (1, 1), V, U)
+        yield check_coproduct_truncation(ctx, (1,), (1,), (), V, U)
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One row of IDENTITIES: the identity names it reports, its group, and
+    its case grid.
+
+    cases(cfg, ctx, V) yields the row's reports on V = span of the first n
+    ambient variables, for each swept n in min_n..max_n. A per_field row's
+    cases(cfg, ctx, ring) runs once per field instead, after every
+    dimension, with the sweep's ambient ring. A row that names several
+    identities (a bundle) runs when any of them is chosen, and the sweep
+    keeps the reports of the chosen ones.
+    """
+
+    names: tuple
+    group: str
+    cases: Callable
+    min_n: int = 0
+    max_n: int | None = None
+    per_field: bool = False
+
+    def runs_at(self, n: int) -> bool:
+        return not self.per_field and self.min_n <= n and (self.max_n is None or n <= self.max_n)
+
+
+# Grids name their checks at call time, so a replaced check_* is the one
+# that runs. The window identities and the coproduct grid stop at dimension
+# 2: their windows need one-row values of index up to dim + 10, which blow
+# up combinatorially in three or more generic variables. See README.
+IDENTITIES = (
+    Identity(("vl-recursion",), "vl-recursion", lambda cfg, ctx, V: (
+        check_vl_recursion(ctx, lam, mu, V) for lam, mu in _pair_grid(cfg.max_weight, V.dim - 1))),
+    Identity(("straight-recursion",), "straight-recursion", lambda cfg, ctx, V: (
+        check_straight_recursion(ctx, lam, V)
+        for lam in partitions_up_to_weight(cfg.max_weight, V.dim - 1))),
+    Identity(("flag-formula",), "flag-formula", lambda cfg, ctx, V: (
+        check_flag_formula(ctx, lam, V) for lam in partitions_up_to_weight(cfg.max_weight, V.dim))),
+    Identity(("pieri",), "pieri", lambda cfg, ctx, V: (
+        check_pieri(ctx, lam, mu, V, L.basis[0])
+        for L in enumerate_lines(V) for lam, mu in _pair_grid(cfg.max_weight, V.dim - 1))),
+    Identity(("coproduct",), "coproduct", lambda cfg, ctx, V: (
+        check_coproduct(ctx, lam, mu, V, U)
+        for U in enumerate_subspaces(V) for lam, mu in _pair_grid(min(cfg.max_weight, 3), None)),
+        max_n=2),
+    Identity(("he-inverse",), "matrix-calculus", _he_inverse_cases, max_n=2),
+    Identity(("h-factorization",), "matrix-calculus", _factorization_cases, max_n=2),
+    Identity(("cauchy-binet", "sign-scaled-det", "zero-block-det"), "matrix-calculus",
+             lambda cfg, ctx, ring: check_matrix_lemmas(ctx.spec, cfg.seed, trials=cfg.trials),
+             per_field=True),
+    Identity(("quotient-tower",), "subspace-calculus", lambda cfg, ctx, V: (
+        check_quotient_tower(V, U, T, ctx.spec.q)
+        for U in enumerate_subspaces(V) for T in enumerate_subspaces(U))),
+    Identity(("coset-product",), "subspace-calculus", lambda cfg, ctx, V: (
+        check_coset_product(U, T, ctx.spec.q)
+        for U in enumerate_subspaces(V) for T in enumerate_subspaces(U))),
+    Identity(("pi-flag-product",), "subspace-calculus", lambda cfg, ctx, V: (
+        check_pi_flag_product(flag, ctx.spec.q) for flag in enumerate_flags(V)), min_n=1),
+    Identity(("hook-step",), "subspace-calculus", lambda cfg, ctx, V: (
+        check_hook_step(ctx, L, r) for L in enumerate_lines(V) for r in range(1, 4)), min_n=1),
+    Identity(("full-column-reduction",), "subspace-calculus", lambda cfg, ctx, V: (
+        check_full_column(ctx, lam, V)
+        for lam in partitions_up_to_weight(cfg.max_weight, V.dim) if len(lam) == V.dim), min_n=1),
+    # elementary runs at n = 1..3 whatever min_dim is
+    Identity(("power-sum-zero", "line-sum", "pi-of-line", "low-degree-point-sum",
+              "vector-power-sum", "perm-witness"), "elementary", lambda cfg, ctx, ring: (
+        rep for n in range(1, min(3, max(cfg.max_dim, 1)) + 1)
+        for rep in check_elementary_lemmas(ctx.spec, n, seed=cfg.seed, trials=cfg.trials)),
+        per_field=True),
+    Identity(("gl-invariance",), "structural", lambda cfg, ctx, V: (
+        check_gl_invariance(ctx, lam, V, cfg.seed)
+        for lam in partitions_up_to_weight(_weight_cap(cfg, V.dim), V.dim)), min_n=1),
+    Identity(("k-independence",), "structural", lambda cfg, ctx, V: (
+        check_k_independence(ctx, lam, mu, V)
+        for lam, mu in _pair_grid(_weight_cap(cfg, V.dim), V.dim))),
+    Identity(("vanishing",), "structural", lambda cfg, ctx, V: (
+        rep for lam, mu in _pair_grid(min(cfg.max_weight, 3), None)
+        for rep in check_vanishing(ctx, lam, mu, V, V))),
+    Identity(("division-round-trip",), "structural", lambda cfg, ctx, ring: (
+        check_division_round_trip(ctx.spec, cfg.seed, pairs=cfg.trials),), per_field=True),
+    Identity(("degree-formula",), "structural", lambda cfg, ctx, V: (
+        check_degree_formula(ctx, lam, V)
+        for lam in partitions_up_to_weight(_weight_cap(cfg, V.dim), V.dim)), min_n=1),
+    Identity(("functoriality",), "structural", lambda cfg, ctx, V: (
+        check_functoriality(ctx, lam, V.dim, V.ring, cfg.seed)
+        for lam in partitions_up_to_weight(min(cfg.max_weight, 3), V.dim)), min_n=1, max_n=2),
+    Identity(("coproduct-truncation",), "structural", _truncation_cases, per_field=True),
+)
+
+GROUPS = {group: tuple(name for row in IDENTITIES if row.group == group for name in row.names)
+          for group in dict.fromkeys(row.group for row in IDENTITIES)}
+
+ALL_IDENTITIES = tuple(name for row in IDENTITIES for name in row.names)
 
 
 # Sweep driver -------------------------------------------------------------
@@ -790,6 +863,8 @@ class SweepConfig:
                 raise ConfigInvalid(f"{key} must be an integer")
         if not self.fields:
             raise ConfigInvalid("no field specs given")
+        if not self.identities:
+            raise ConfigInvalid("no identities given")
         for text in self.fields:
             try:
                 spec = parse_field_spec(text)
@@ -825,17 +900,6 @@ class SweepConfig:
         return cfg
 
 
-def _pair_grid(max_weight: int, max_len: int | None) -> list[tuple]:
-    """All (lam, mu) with the stated weight/length caps and |mu| <= |lam|."""
-    lams = partitions.partitions_up_to_weight(max_weight, max_len)
-    out = []
-    for lam in lams:
-        for mu in lams:
-            if partitions.weight(mu) <= partitions.weight(lam):
-                out.append((lam, mu))
-    return out
-
-
 def run_sweep(cfg: SweepConfig) -> dict:
     """Run the selected identities over the configured grid.
 
@@ -864,109 +928,28 @@ def run_sweep(cfg: SweepConfig) -> dict:
     }
 
 
-def _window_fits(q: int, n: int, w: int) -> bool:
-    """Whether a window's largest value H_w on n <= 2 generic coordinates,
-    one term for n < 2 and (q^(w+1) - 1)/(q - 1) at n = 2, fits the term limit."""
-    return n < 2 or (q ** (w + 1) - 1) // (q - 1) <= get_term_limit()
-
-
 def _sweep_reports(cfg: SweepConfig) -> list:
-    """The unsorted case reports of run_sweep."""
+    """The unsorted case reports of run_sweep: per field, each chosen row of
+    IDENTITIES on every swept dimension, then the per-field rows."""
     chosen = cfg.selected()
+    rows = [row for row in IDENTITIES if chosen.intersection(row.names)]
     reports: list[CaseReport] = []
-    dims = range(cfg.min_dim, cfg.max_dim + 1)
-    # Window identities and the coproduct grid stop at dimension 2: their
-    # windows need one-row values of index up to dim + 10, which blow up
-    # combinatorially in three or more generic variables. See README.
-    dim_cap = 2
-
     for ftext in cfg.fields:
         spec = parse_field_spec(ftext)
-        q = spec.q
-        first = len(reports)
         ctx = SchurContext(spec)
         ring = ambient_ring(spec, max(cfg.max_dim, 1))
-        for n in dims:
+        found: list[CaseReport] = []
+        for n in range(cfg.min_dim, cfg.max_dim + 1):
             V = span(ring, ring.gens()[:n])
-            if "vl-recursion" in chosen:
-                for lam, mu in _pair_grid(cfg.max_weight, n - 1):
-                    reports.append(check_vl_recursion(ctx, lam, mu, V))
-            if "straight-recursion" in chosen:
-                for lam in partitions.partitions_up_to_weight(cfg.max_weight, n - 1):
-                    reports.append(check_straight_recursion(ctx, lam, V))
-            if "flag-formula" in chosen:
-                for lam in partitions.partitions_up_to_weight(cfg.max_weight, n):
-                    reports.append(check_flag_formula(ctx, lam, V))
-            if "pieri" in chosen:
-                grid = _pair_grid(cfg.max_weight, n - 1)
-                for L in enumerate_lines(V):
-                    ell = L.basis[0]
-                    for lam, mu in grid:
-                        reports.append(check_pieri(ctx, lam, mu, V, ell))
-            if n <= dim_cap and "coproduct" in chosen:
-                grid = _pair_grid(min(cfg.max_weight, 3), None)
-                for U in enumerate_subspaces(V):
-                    for lam, mu in grid:
-                        reports.append(check_coproduct(ctx, lam, mu, V, U))
-            if n <= dim_cap and "he-inverse" in chosen and _window_fits(q, n, 2 * n + 8):
-                reports.append(check_he_inverse(ctx, V, -(n + 4), n + 4))
-            if n <= dim_cap and "h-factorization" in chosen and _window_fits(q, n, 2 * n + 6):
-                for U in enumerate_subspaces(V):
-                    reports.append(check_factorization(ctx, V, U))
-            if "quotient-tower" in chosen:
-                for U in enumerate_subspaces(V):
-                    for T in enumerate_subspaces(U):
-                        reports.append(check_quotient_tower(V, U, T, q))
-            if "coset-product" in chosen:
-                for U in enumerate_subspaces(V):
-                    for T in enumerate_subspaces(U):
-                        reports.append(check_coset_product(U, T, q))
-            if n >= 1 and "pi-flag-product" in chosen:
-                for flag in enumerate_flags(V):
-                    reports.append(check_pi_flag_product(flag, q))
-            if n >= 1 and "hook-step" in chosen:
-                for L in enumerate_lines(V):
-                    for r in range(1, 4):
-                        reports.append(check_hook_step(ctx, L, r))
-            if n >= 1 and "full-column-reduction" in chosen:
-                for lam in partitions.partitions_up_to_weight(cfg.max_weight, n):
-                    if len(lam) == n and partitions.part(lam, n) >= 1:
-                        reports.append(check_full_column(ctx, lam, V))
-            if n >= 1 and "gl-invariance" in chosen:
-                cap = cfg.max_weight if n <= 2 else min(cfg.max_weight, 2)
-                for lam in partitions.partitions_up_to_weight(cap, n):
-                    reports.append(check_gl_invariance(ctx, lam, V, cfg.seed))
-            if "k-independence" in chosen:
-                cap = cfg.max_weight if n <= 2 else min(cfg.max_weight, 2)
-                for lam, mu in _pair_grid(cap, n):
-                    reports.append(check_k_independence(ctx, lam, mu, V))
-            if "vanishing" in chosen:
-                for lam, mu in _pair_grid(min(cfg.max_weight, 3), None):
-                    reports.extend(check_vanishing(ctx, lam, mu, V, V))
-            if n >= 1 and "degree-formula" in chosen:
-                cap = cfg.max_weight if n <= 2 else min(cfg.max_weight, 2)
-                for lam in partitions.partitions_up_to_weight(cap, n):
-                    reports.append(check_degree_formula(ctx, lam, V))
-            if 1 <= n <= 2 and "functoriality" in chosen:
-                for lam in partitions.partitions_up_to_weight(min(cfg.max_weight, 3), n):
-                    reports.append(check_functoriality(ctx, lam, n, ring, cfg.seed))
-
-        if any(name in chosen for name in GROUPS["elementary"]):
-            for n in range(1, min(3, max(cfg.max_dim, 1)) + 1):
-                wanted = check_elementary_lemmas(spec, n, seed=cfg.seed, trials=cfg.trials)
-                reports.extend(r for r in wanted if r.identity in chosen)
-        if "cauchy-binet" in chosen or "sign-scaled-det" in chosen or "zero-block-det" in chosen:
-            wanted = check_matrix_lemmas(spec, cfg.seed, trials=cfg.trials)
-            reports.extend(r for r in wanted if r.identity in chosen)
-        if "division-round-trip" in chosen:
-            reports.append(check_division_round_trip(spec, cfg.seed, pairs=cfg.trials))
-        if "coproduct-truncation" in chosen and cfg.max_dim >= 2:
-            V = span(ring, ring.gens()[:2])
-            U = span(ring, [ring.gen(0)])
-            reports.append(check_coproduct_truncation(ctx, (2,), (), (1, 1), V, U))
-            reports.append(check_coproduct_truncation(ctx, (1,), (1,), (), V, U))
+            for row in rows:
+                if row.runs_at(n):
+                    found.extend(row.cases(cfg, ctx, V))
+        for row in rows:
+            if row.per_field:
+                found.extend(row.cases(cfg, ctx, ring))
         if spec.e > 1:
             # q alone does not tell two moduli of one field size apart
-            for rep in reports[first:]:
+            for rep in found:
                 rep.basis = f"{spec.to_text()} {rep.basis}".rstrip()
+        reports.extend(rep for rep in found if rep.identity in chosen)
     return reports

@@ -227,6 +227,14 @@ def test_verify_bad_config_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_empty_identity_list_exit_2(tmp_path, capsys):
+    # an empty list would run no case and pass vacuously, like an empty field list
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"fields": ["q=2"], "max_dim": 1, "identities": []}))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: no identities given\n")
+
+
 def test_verify_boolean_config_value_exit_2(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"fields": ["q=2"], "max_dim": True, "trials": False}))

@@ -422,6 +422,15 @@ def test_sweep_config_validation_errors():
         SweepConfig(trials=-5).validate()
 
 
+def test_an_empty_identity_list_is_refused():
+    with pytest.raises(ConfigInvalid, match="^no identities given$"):
+        SweepConfig(identities=()).validate()
+    with pytest.raises(ConfigInvalid, match="^no identities given$"):
+        SweepConfig.from_dict({"fields": ["q=2"], "identities": []})
+    with pytest.raises(ConfigInvalid, match="^no identities given$"):
+        run_sweep(SweepConfig(fields=("q=2",), max_dim=1, identities=()))
+
+
 def test_sweep_config_from_dict():
     cfg = SweepConfig.from_dict({"fields": "q=3", "max_dim": 2,
                                  "identities": "pieri", "seed": 7})
@@ -461,6 +470,15 @@ def test_run_sweep_small_all_pass():
     for case in report["cases"]:
         assert set(case) == REPORT_KEYS
     json.dumps(report)
+
+
+def test_run_sweep_with_no_trials_passes():
+    # the randomized checks draw nothing; only the matrix lemmas, one case
+    # per trial, report no case
+    report = run_sweep(small_cfg(max_weight=1, trials=0))
+    assert report["aggregate"]["failed"] == 0
+    per_trial = {"cauchy-binet", "sign-scaled-det", "zero-block-det"}
+    assert {c["identity"] for c in report["cases"]} == set(ALL_IDENTITIES) - per_trial
 
 
 def test_run_sweep_deterministic_modulo_millis():
@@ -623,13 +641,77 @@ PINNED_SWEEPS = [
       "pi-of-line": 1, "pieri": 31, "power-sum-zero": 1, "quotient-tower": 22,
       "vanishing": 18, "vector-power-sum": 1, "vl-recursion": 7},
      "db7c926f7a79aa729d1b6c8293e8c478caa6ecb6c4aaaf65c0c53ff99594d813"),
+    # dimension 3 with min_dim 1: the weight caps at n = 3, the dimension-2
+    # stop of the window and coproduct grids, and elementary up to n = 3
+    (dict(fields=("q=2",), min_dim=1, max_dim=3, max_weight=2, trials=2),
+     {"cauchy-binet": 2, "coproduct": 77, "coproduct-truncation": 2, "coset-product": 81,
+      "degree-formula": 11, "division-round-trip": 1, "flag-formula": 11,
+      "full-column-reduction": 3, "functoriality": 7, "gl-invariance": 11,
+      "h-factorization": 7, "he-inverse": 2, "hook-step": 33, "k-independence": 28,
+      "line-sum": 3, "low-degree-point-sum": 3, "perm-witness": 6, "pi-flag-product": 25,
+      "pi-of-line": 1, "pieri": 96, "power-sum-zero": 1, "quotient-tower": 81,
+      "sign-scaled-det": 2, "straight-recursion": 8, "vanishing": 13,
+      "vector-power-sum": 2, "vl-recursion": 18, "zero-block-det": 2},
+     "8f8ead1733a6963a968d2e3d7862e2f9524df4c76d8c7d6a3ea517bad67fcb09"),
+    # dimension 3 alone: no window, coproduct or functoriality case, while
+    # elementary still runs at n = 1..3
+    (dict(fields=("q=2", "q=3"), min_dim=3, max_dim=3, max_weight=1, trials=2),
+     {"cauchy-binet": 4, "coproduct-truncation": 4, "coset-product": 199,
+      "degree-formula": 4, "division-round-trip": 2, "flag-formula": 4, "gl-invariance": 4,
+      "hook-step": 60, "k-independence": 6, "line-sum": 6, "low-degree-point-sum": 6,
+      "perm-witness": 12, "pi-flag-product": 73, "pi-of-line": 2, "pieri": 60,
+      "power-sum-zero": 2, "quotient-tower": 199, "sign-scaled-det": 4,
+      "straight-recursion": 4, "vector-power-sum": 4, "vl-recursion": 6, "zero-block-det": 4},
+     "dd6e84f0fa04cf173fd467b6a684978596998ecd549ccb8126e2839e6dc486e3"),
 ]
 
 
 @pytest.mark.parametrize("overrides, counts, digest", PINNED_SWEEPS,
-                         ids=["q2-all", "q4-skew-subspace-structural"])
+                         ids=["q2-all", "q4-skew-subspace-structural", "q2-dims-1-3",
+                              "q2-q3-dim-3"])
 def test_run_sweep_case_list_is_pinned(overrides, counts, digest):
     cfg = SweepConfig(**dict(dict(min_dim=0, max_dim=2, max_weight=2, trials=3), **overrides))
     report = run_sweep(cfg)
     assert report["aggregate"]["failed"] == 0
     assert _case_digest(report) == (counts, digest)
+
+
+def test_groups_and_identities_keep_their_order():
+    # the CLI help lists the groups in this order
+    assert list(GROUPS) == ["vl-recursion", "straight-recursion", "flag-formula", "pieri",
+                            "coproduct", "matrix-calculus", "subspace-calculus",
+                            "elementary", "structural"]
+    assert ALL_IDENTITIES == (
+        "vl-recursion", "straight-recursion", "flag-formula", "pieri", "coproduct",
+        "he-inverse", "h-factorization", "cauchy-binet", "sign-scaled-det", "zero-block-det",
+        "quotient-tower", "coset-product", "pi-flag-product", "hook-step",
+        "full-column-reduction", "power-sum-zero", "line-sum", "pi-of-line",
+        "low-degree-point-sum", "vector-power-sum", "perm-witness", "gl-invariance",
+        "k-independence", "vanishing", "division-round-trip", "degree-formula",
+        "functoriality", "coproduct-truncation",
+    )
+
+
+TABLE_CFG = dict(fields=("q=2",), min_dim=0, max_dim=2, max_weight=1, trials=1)
+
+
+def test_each_table_row_reports_exactly_the_names_it_declares():
+    cfg = SweepConfig(**TABLE_CFG)
+    ctx = SchurContext(field_spec(2))
+    ring = ambient_ring(ctx.spec, 2)
+    for row in verify.IDENTITIES:
+        if row.per_field:
+            reports = list(row.cases(cfg, ctx, ring))
+        else:
+            reports = [rep for n in range(3) if row.runs_at(n)
+                       for rep in row.cases(cfg, ctx, span(ring, ring.gens()[:n]))]
+        assert {rep.identity for rep in reports} == set(row.names), row.names
+        assert all(rep.status == "pass" for rep in reports), row.names
+
+
+@pytest.mark.parametrize("name", list(GROUPS) + [n for n in ALL_IDENTITIES if n not in GROUPS])
+def test_a_group_or_identity_chosen_alone_reports_exactly_its_members(name):
+    # line-sum alone runs the elementary bundle and keeps only line-sum
+    report = run_sweep(SweepConfig(**TABLE_CFG, identities=(name,)))
+    members = set(GROUPS.get(name, (name,)))
+    assert {c["identity"] for c in report["cases"]} == members
