@@ -4,8 +4,9 @@ A FieldSpec fixes the characteristic p, the extension degree e and (for
 e > 1) an irreducible monic modulus, given low-to-high as e+1 coefficients.
 Elements are vectors of e coefficients over F_p in the polynomial basis
 1, t, ..., t^(e-1). All q elements are built once and interned, so element
-arithmetic is two table lookups and equality is identity; this keeps the
-polynomial layer fast without giving up exactness.
+arithmetic is two table lookups and equality is identity. Polynomials
+store the indices of their coefficients, not elements, and compute on the
+tables directly, which keeps the polynomial layer fast and exact.
 
 The element order is fixed: index(c) = c0 + c1*p + ... + c_(e-1)*p^(e-1),
 which enumerates 0 first and 1 second and is lexicographic in the

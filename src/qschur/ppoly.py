@@ -38,6 +38,11 @@ so no product or partial sum of it is built as a Poly. Outside this
 module monomials are (vector, shift) pairs, passed from leading_monomial()
 to coeff_of() and PolyRing.key(); coeff_at_leading() looks one polynomial's
 leading monomial up in another and keeps it a key when it can.
+
+Internal coefficient shape: terms maps each key to the index of its
+nonzero coefficient in spec.elements (an int in 1..q-1), which the
+FieldSpec tables compute on, so the garbage collector does not track a
+terms dict. Field elements are built only at the API edge.
 """
 
 from __future__ import annotations
@@ -148,9 +153,9 @@ class PolyRing:
         n = self.nvars = len(names)
         self.zero = Poly(self, {})
         # the unit monomial has key 0 at every width
-        self.one = Poly(self, {0: spec.one})
+        self.one = Poly(self, {0: 1})
         self._gens = tuple(
-            Poly(self, {_pack([int(i == j) for j in range(n)], WORD): spec.one})
+            Poly(self, {_pack([int(i == j) for j in range(n)], WORD): 1})
             for i in range(n)
         )
 
@@ -167,7 +172,7 @@ class PolyRing:
             raise RingMismatch("coefficient from a different field")
         if c.idx == 0:
             return self.zero
-        return Poly(self, {0: c})
+        return Poly(self, {0: c.idx})
 
     def from_terms(self, terms: Iterable, shift: int = 0) -> "Poly":
         """The sum of c * x^(v / q^shift) over (v, c) pairs, v an exponent
@@ -181,11 +186,10 @@ class PolyRing:
             if c.spec != spec:
                 raise RingMismatch("coefficient from a different field")
             if c.idx:
-                live.append((v, c))
+                live.append((v, c.idx))
         w = _width(max((sum(v) for v, _ in live), default=0))
         out: dict = {}
-        for v, c in live:
-            _merge_term(out, _pack(v, w), c)
+        _merge(out, ((_pack(v, w), c) for v, c in live), spec.add_table)
         return _poly(self, out, shift, w)
 
     def key(self, m: tuple[tuple, int]):
@@ -239,16 +243,20 @@ def universal_ring(spec: FieldSpec, n: int) -> PolyRing:
     return ring
 
 
-def _merge_term(out: dict, m: int, c: FieldElement) -> None:
-    prev = out.get(m)
-    if prev is None:
-        out[m] = c
-        return
-    s = prev + c
-    if s.idx == 0:
-        del out[m]
-    else:
-        out[m] = s
+def _merge(out: dict, items: Iterable, add_t: tuple) -> None:
+    """Add (key, coefficient index) pairs into out, a dict from keys to
+    nonzero coefficient indices; a sum that cancels leaves no key behind."""
+    get = out.get
+    for m, c in items:
+        prev = get(m)
+        if prev is None:
+            out[m] = c
+        else:
+            s = add_t[prev][c]
+            if s:
+                out[m] = s
+            else:
+                del out[m]
 
 
 def _divisible(terms: dict, n: int, w: int, f: int) -> bool:
@@ -321,12 +329,12 @@ def _accumulate(out: dict, ta: dict, tb: dict, ci: int, spec: FieldSpec, what: s
     add_t = spec.add_table
     crow = mul_t[ci]
     get = out.get
-    tb_items = [(mb, cb.idx) for mb, cb in tb.items()]
+    tb_items = tb.items()
     for ma, ca in ta.items():
-        mrow = mul_t[crow[ca.idx]]
-        for mb, cbi in tb_items:
+        mrow = mul_t[crow[ca]]
+        for mb, cb in tb_items:
             m = ma + mb
-            t = mrow[cbi]  # nonzero: a field has no zero divisors
+            t = mrow[cb]  # nonzero: a field has no zero divisors
             prev = get(m)
             if prev is None:
                 out[m] = t
@@ -342,8 +350,9 @@ def _accumulate(out: dict, ta: dict, tb: dict, ci: int, spec: FieldSpec, what: s
 
 class Poly:
     """Immutable sparse polynomial: terms maps monomial keys (exponent
-    vectors packed at field width `width`) to nonzero coefficients; the true
-    exponents are the vectors divided by q^shift."""
+    vectors packed at field width `width`) to the indices of nonzero
+    coefficients in ring.spec.elements; the true exponents are the vectors
+    divided by q^shift."""
 
     __slots__ = ("ring", "terms", "shift", "width", "_lead", "_hash")
 
@@ -378,8 +387,7 @@ class Poly:
         return not self.terms
 
     def is_one(self) -> bool:
-        c = self.terms.get(0)
-        return len(self.terms) == 1 and c is not None and c.idx == 1
+        return len(self.terms) == 1 and self.terms.get(0) == 1
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -392,26 +400,13 @@ class Poly:
             return self
         if not self.terms:
             return other
-        spec = self.ring.spec
-        add_t = spec.add_table
-        elems = spec.elements
         d = max(self.shift, other.shift)
         if self.shift == other.shift:
             w = self.width if self.width >= other.width else other.width
         else:
             w = _width(max(_top(self, d), _top(other, d)))
         out = dict(_aligned(self, d, w))
-        get = out.get
-        for m, c in _aligned(other, d, w).items():
-            prev = get(m)
-            if prev is None:
-                out[m] = c
-            else:
-                s = add_t[prev.idx][c.idx]
-                if s:
-                    out[m] = elems[s]
-                else:
-                    del out[m]
+        _merge(out, _aligned(other, d, w).items(), self.ring.spec.add_table)
         return _poly(self.ring, out, d, w)
 
     __radd__ = __add__
@@ -419,7 +414,8 @@ class Poly:
     def __neg__(self) -> "Poly":
         if self.ring.spec.p == 2 or not self.terms:
             return self
-        return Poly(self.ring, {m: -c for m, c in self.terms.items()}, self.shift,
+        neg = self.ring.spec.neg_table
+        return Poly(self.ring, {m: neg[c] for m, c in self.terms.items()}, self.shift,
                     self.width, self._lead)
 
     def __sub__(self, other) -> "Poly":
@@ -450,16 +446,14 @@ class Poly:
         # degree, and with it its width, is known before it is formed
         w = _width(_top(self, d) + _top(other, d))
         ta, tb = _aligned(self, d, w), _aligned(other, d, w)
-        spec = self.ring.spec
-        elems = spec.elements
         out: dict = {}
-        _accumulate(out, ta, tb, 1, spec, "product")
+        _accumulate(out, ta, tb, 1, self.ring.spec, "product")
         # _top cached both leading keys; they add up when neither was re-keyed
         lead = None
         if ta is self.terms and tb is other.terms:
             lead = self._lead + other._lead
-        return _poly(self.ring, dict(zip(out, map(elems.__getitem__, out.values()))), d, w,
-                     lead)
+        # a copy, so the slots of cancelled keys are not kept alive
+        return _poly(self.ring, dict(out), d, w, lead)
 
     def __rmul__(self, other) -> "Poly":
         if isinstance(other, (FieldElement, int)):
@@ -475,13 +469,9 @@ class Poly:
             return self.ring.zero
         if c.idx == 1:
             return self
-        spec = self.ring.spec
-        crow = spec.mul_table[c.idx]
-        elems = spec.elements
-        return Poly(
-            self.ring, {m: elems[crow[cc.idx]] for m, cc in self.terms.items()},
-            self.shift, self.width, self._lead,
-        )
+        crow = self.ring.spec.mul_table[c.idx]
+        return Poly(self.ring, {m: crow[cc] for m, cc in self.terms.items()}, self.shift,
+                    self.width, self._lead)
 
     def __pow__(self, m: int) -> "Poly":
         if not isinstance(m, int):
@@ -498,7 +488,8 @@ class Poly:
             w = _width(_top(self, self.shift) * m)
             if w != self.width:
                 k = _pack(_unpack(k, self.ring.nvars, self.width), w)
-            return _poly(self.ring, {k * m: c**m}, self.shift, w, k * m)
+            c = (self.ring.spec.elements[c] ** m).idx
+            return _poly(self.ring, {k * m: c}, self.shift, w, k * m)
         q = self.ring.spec.q
         digits = []
         mm = m
@@ -545,7 +536,7 @@ class Poly:
         return _unpack(self._leading(), self.ring.nvars, self.width), self.shift
 
     def leading_coeff(self) -> FieldElement:
-        return self.terms[self._leading()]
+        return self.ring.spec.elements[self.terms[self._leading()]]
 
     def has_fractional_exponents(self) -> bool:
         return self.shift > 0
@@ -579,14 +570,14 @@ class Poly:
             return zero  # above this polynomial's degree
         for e in v:
             k = (k << w) | e
-        return self.terms.get(k, zero)
+        return self.ring.spec.elements[self.terms.get(k, 0)]
 
     def coeff_at_leading(self, other: "Poly") -> FieldElement:
         """Coefficient in self of the leading monomial of a nonzero other:
         self.coeff_of(other.leading_monomial()), looked up by key when both
         are written over one shift at one width."""
         if other.shift == self.shift and other.width == self.width:
-            return self.terms.get(other._leading(), self.ring.spec.zero)
+            return self.ring.spec.elements[self.terms.get(other._leading(), 0)]
         return self.coeff_of(other.leading_monomial())
 
     def sort_key(self):
@@ -594,7 +585,7 @@ class Poly:
         key = self.ring.key
         n, w, d = self.ring.nvars, self.width, self.shift
         return tuple(
-            (key((_unpack(m, n, w), d)), self.terms[m].idx)
+            (key((_unpack(m, n, w), d)), self.terms[m])
             for m in sorted(self.terms, reverse=True)
         )
 
@@ -613,7 +604,7 @@ class Poly:
             h = hash((
                 self.ring,
                 self.shift,
-                frozenset((m, c.idx) for m, c in self.terms.items()),
+                frozenset(self.terms.items()),
             ))
             self._hash = h
         return h
@@ -662,8 +653,8 @@ def _fused(ring: PolyRing, live: list, what: str) -> Poly:
     out: dict = {}
     for ci, a, b in live:
         _accumulate(out, _aligned(a, d, w), _aligned(b, d, w), ci, spec, what)
-    elems = spec.elements
-    return _poly(ring, dict(zip(out, map(elems.__getitem__, out.values()))), d, w)
+    # a copy, so the slots of cancelled keys are not kept alive
+    return _poly(ring, dict(out), d, w)
 
 
 def _power_text(name: str, e: int, d: int, q: int) -> str:
@@ -685,10 +676,11 @@ def poly_to_text(p: Poly) -> str:
     d = p.shift
     n, w = ring.nvars, p.width
     names = ring.names
+    elems = ring.spec.elements
     parts = []
     try:
         for m in sorted(p.terms, reverse=True):
-            c = p.terms[m]
+            c = elems[p.terms[m]]
             vec = _unpack(m, n, w)
             if d:
                 factors = [_power_text(name, e, d, q) for name, e in zip(names, vec) if e]
@@ -806,16 +798,15 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     spec = ring.spec
     add_t = spec.add_table
     mul_t = spec.mul_table
-    elems = spec.elements
     limit = _term_limit
     a_keys = sorted(ta, reverse=True)
     na = len(a_keys)
     b_keys = sorted(tb, reverse=True)
     b_lead = b_keys[0]
-    b_inv = spec.inv_table[tb[b_lead].idx]
+    b_inv = spec.inv_table[tb[b_lead]]
     neg = spec.neg_table
     # the divisor's other terms, with negated coefficient indices
-    b_rest = [(k, neg[tb[k].idx]) for k in b_keys[1:]]
+    b_rest = [(k, neg[tb[k]]) for k in b_keys[1:]]
     nb = len(b_rest)
     q_keys: list[int] = []
     q_coeffs: list[int] = []
@@ -828,7 +819,7 @@ def exact_div(a: Poly, b: Poly) -> Poly:
             m = -heap[0][0]
         c = 0
         if ai < na and a_keys[ai] == m:
-            c = ta[m].idx
+            c = ta[m]
             ai += 1
         while heap and heap[0][0] == -m:
             i = heappop(heap)[1]
@@ -845,7 +836,7 @@ def exact_div(a: Poly, b: Poly) -> Poly:
             # some field borrowed: the divisor's leading term does not divide
             raise NotDivisible(
                 "leading term "
-                + poly_to_text(_poly(ring, {m: elems[c]}, d, w))
+                + poly_to_text(_poly(ring, {m: c}, d, w))
                 + " is not divisible by the divisor's leading term"
             )
         i = len(q_keys)
@@ -856,7 +847,7 @@ def exact_div(a: Poly, b: Poly) -> Poly:
         q_next.append(0)
         if nb:
             heappush(heap, (-(r + b_rest[0][0]), i))
-    return _poly(ring, dict(zip(q_keys, map(elems.__getitem__, q_coeffs))), d, w, q_keys[0])
+    return _poly(ring, dict(zip(q_keys, q_coeffs)), d, w, q_keys[0])
 
 
 def _variable_images(images) -> list[int] | None:
@@ -867,7 +858,7 @@ def _variable_images(images) -> list[int] | None:
             return None
         (k, c), = im.terms.items()
         v = _unpack(k, im.ring.nvars, im.width)
-        if sum(v) != 1 or not c.is_one():
+        if sum(v) != 1 or c != 1:
             return None
         out.append(v.index(1))
     return out
@@ -945,17 +936,16 @@ def _monomial_substitution(p: Poly, images: list[Poly], tring: PolyRing) -> Poly
             k = _pack([e * q ** (d - im.shift) for e in _unpack(k, nt, im.width)], wt)
         moves.append(((n - 1 - i) * w, k))
     # for each image with c_i != 1: its field's shift, and c_i^e for e < q - 1
-    scales = [((n - 1 - i) * w, [(c**e).idx for e in range(q - 1)])
-              for i, (_, c) in enumerate(monos) if c.idx != 1]
+    scales = [((n - 1 - i) * w, [(spec.elements[c] ** e).idx for e in range(q - 1)])
+              for i, (_, c) in enumerate(monos) if c != 1]
     mask = (1 << w) - 1
-    mul_t, add_t, elems = spec.mul_table, spec.add_table, spec.elements
+    mul_t, add_t = spec.mul_table, spec.add_table
     acc: dict = {}
     get = acc.get
-    for m, c in p.terms.items():
+    for m, ci in p.terms.items():
         mm = 0
         for s, key in moves:
             mm += ((m >> s) & mask) * key
-        ci = c.idx
         for s, row in scales:
             ci = mul_t[ci][row[((m >> s) & mask) % (q - 1)]]
         prev = get(mm)
@@ -967,7 +957,8 @@ def _monomial_substitution(p: Poly, images: list[Poly], tring: PolyRing) -> Poly
                 acc[mm] = t
             else:
                 del acc[mm]
-    return _poly(tring, {m: elems[i] for m, i in acc.items()}, d, wt)
+    # a copy, so the slots of cancelled keys are not kept alive
+    return _poly(tring, dict(acc), d, wt)
 
 
 def _horner_substitution(p: Poly, images: list[Poly], tring: PolyRing) -> Poly:
@@ -1008,7 +999,7 @@ def _horner_substitution(p: Poly, images: list[Poly], tring: PolyRing) -> Poly:
         for r, kids in nodes.items():
             if len(kids) == 1 and not any(kids[0][0]):
                 v = kids[0][1]
-                values[r] = v if isinstance(v, FieldElement) else (v[0], v[1] + 1)
+                values[r] = v if isinstance(v, int) else (v[0], v[1] + 1)
                 continue
             live = []
             for D, v in kids:
@@ -1022,16 +1013,16 @@ def _horner_substitution(p: Poly, images: list[Poly], tring: PolyRing) -> Poly:
                         if e:
                             a = row[e] if a is tring.one else a * row[e]
                     monos[D] = a
-                if isinstance(v, FieldElement):
-                    ci, b = v.idx, tring.one
+                if isinstance(v, int):
+                    ci, b = v, tring.one
                 else:
                     ci, b = 1, v[0].frobenius(v[1] + 1)
                 if a.terms and b.terms:
                     live.append((ci, a, b))
             values[r] = (_fused(tring, live, "substitution"), 0)
     v, = values.values()
-    if isinstance(v, FieldElement):
-        return tring.from_coeff(v)
+    if isinstance(v, int):
+        return Poly(tring, {0: v})
     return v[0].frobenius(v[1])
 
 

@@ -29,6 +29,7 @@ from .errors import (
 from .gf import FieldSpec, parse_field_spec, power_sum
 from .partitions import partitions_up_to_weight
 from .ppoly import (
+    AMBIENT_NAMES,
     Poly,
     PolyRing,
     ambient_ring,
@@ -865,6 +866,11 @@ class SweepConfig:
             raise ConfigInvalid("no field specs given")
         if not self.identities:
             raise ConfigInvalid("no identities given")
+        if self.max_dim > len(AMBIENT_NAMES):
+            raise ConfigInvalid(
+                f"max_dim {self.max_dim} is over {len(AMBIENT_NAMES)}, the most "
+                "variables an ambient ring has"
+            )
         for text in self.fields:
             try:
                 spec = parse_field_spec(text)

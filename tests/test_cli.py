@@ -235,6 +235,16 @@ def test_verify_empty_identity_list_exit_2(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: no identities given\n")
 
 
+def test_verify_config_past_the_ambient_variables_exit_2(tmp_path, capsys):
+    # q^9 fits this ceiling, but an ambient ring has at most 8 variables
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"fields": ["q=2"], "min_dim": 9, "max_dim": 9,
+                               "ceiling": 1024, "identities": ["quotient-tower"]}))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: max_dim 9 is over 8, the most variables an ambient ring has\n"
+
+
 def test_verify_boolean_config_value_exit_2(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"fields": ["q=2"], "max_dim": True, "trials": False}))

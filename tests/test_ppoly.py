@@ -1,5 +1,6 @@
 """Polynomial core: sparse terms, q-local exponents, Frobenius, division."""
 
+import gc
 from fractions import Fraction
 from itertools import permutations
 from operator import add, sub
@@ -47,7 +48,8 @@ def ring3(n=2):
 
 def vectors(p):
     """p's terms keyed by exponent vectors, written over q^p.shift."""
-    return {_unpack(k, p.ring.nvars, p.width): c for k, c in p.terms.items()}
+    elems = p.ring.spec.elements
+    return {_unpack(k, p.ring.nvars, p.width): elems[c] for k, c in p.terms.items()}
 
 
 def test_shift_normalization():
@@ -74,10 +76,10 @@ def test_mono_ops():
     a = _pack((3, 0), 32)          # x^3
     b = _pack((1, 2), 32)          # x*y^2
     assert _unpack(a, 2, 32) == (3, 0)
-    assert Poly(R, {a: R.spec.one}).total_degree() == Fraction(3)
+    assert Poly(R, {a: 1}).total_degree() == Fraction(3)
     m = a + b
     assert _unpack(m, 2, 32) == (4, 2)
-    assert Poly(R, {m: R.spec.one}).total_degree() == Fraction(6)
+    assert Poly(R, {m: 1}).total_degree() == Fraction(6)
     guard = _guards(2, 32)
     assert m - b == a and not (m - b) & guard
     assert (b - a) & guard
@@ -391,9 +393,44 @@ def test_poly_hash_and_eq():
     assert R.zero == 0 * p
 
 
+@pytest.mark.parametrize("ftext", ["q=3", "q=2^2"])
+def test_terms_hold_untracked_coefficient_indices(ftext):
+    # every constructor path stores ints in 1..q-1, which keeps its terms
+    # dict out of the garbage collector's reach
+    spec = parse_field_spec(ftext)
+    R, U = ambient_ring(spec, 2), universal_ring(spec, 2)
+    x, y = R.gens()
+    u1, u2 = U.gens()
+    c = spec.elements[-1]
+    a = R.parse("x^2 + x*y + y + 1")
+    b = R.from_terms([((1, 0), c), ((0, 3), spec.one)], 1)
+    f = u1**2 * u2 + u1 + c * u2**3
+    values = {
+        "parse": a,
+        "from_terms": b,
+        "+": a + b,
+        "-": a - b,
+        "unary -": -a,
+        "*": a * b,
+        "scale": a.scale(c),
+        "** of one term": (c * x) ** 5,
+        "**": (x + y) ** 5,
+        "frobenius rescaling keys": a.frobenius(2),
+        "frobenius moving the shift": b.frobenius(1),
+        "sum_of_products": sum_of_products(R, [(c, a, b), (1, x, y)]),
+        "exact_div": exact_div(a * b, b),
+        "evaluate_morphism by key map": evaluate_morphism(f, [c * y, x**2]),
+        "evaluate_morphism by Horner": evaluate_morphism(f, [x + y, c * x]),
+    }
+    for name, p in values.items():
+        assert p.terms, name
+        assert not gc.is_tracked(p.terms), name
+        assert all(type(i) is int and 0 < i < spec.q for i in p.terms.values()), name
+
+
 # Properties -----------------------------------------------------------------
 
-FIELDS = ["q=2", "q=3", "q=2^2"]
+FIELDS = ["q=2", "q=3", "q=2^2", "q=3^2"]
 
 
 @st.composite
@@ -545,7 +582,7 @@ def ref_poly(ring, vterms, d):
     if not vterms:
         return ring.zero
     w = _width(max(sum(m) for m in vterms))
-    return Poly(ring, {_pack(m, w): c for m, c in vterms.items()}, d, w)
+    return Poly(ring, {_pack(m, w): c.idx for m, c in vterms.items()}, d, w)
 
 
 def ref_aligned(p, d):

@@ -413,13 +413,23 @@ def test_sweep_config_validation_errors():
     with pytest.raises(ConfigInvalid):
         SweepConfig(fields=("q=banana",)).validate()
     with pytest.raises(ConfigInvalid):
-        SweepConfig(max_dim=9).validate()  # 2^9 over the ceiling
+        SweepConfig(max_dim=6).validate()  # 3^6 over the ceiling
     with pytest.raises(ConfigInvalid):
         SweepConfig(min_dim=3, max_dim=1).validate()
     with pytest.raises(ConfigInvalid):
         SweepConfig(max_weight=-1).validate()
     with pytest.raises(ConfigInvalid):
         SweepConfig(trials=-5).validate()
+
+
+def test_a_sweep_past_the_ambient_variables_is_refused():
+    # 2^9 fits the ceiling, but an ambient ring has at most 8 variables
+    cfg = SweepConfig(fields=("q=2",), min_dim=9, max_dim=9, ceiling=1024,
+                      identities=("quotient-tower",))
+    with pytest.raises(ConfigInvalid, match="^max_dim 9 is over 8, the most variables"):
+        cfg.validate()
+    with pytest.raises(ConfigInvalid, match="^max_dim 9 is over 8"):
+        run_sweep(cfg)
 
 
 def test_an_empty_identity_list_is_refused():
