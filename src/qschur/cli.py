@@ -17,7 +17,7 @@ import sys
 from . import partitions
 from .errors import ConfigInvalid, InvalidFieldSpec, PolyParseError, QschurError
 from .gf import parse_field_spec
-from .ppoly import ambient_ring, get_term_limit, set_term_limit
+from .ppoly import AMBIENT_NAMES, ambient_ring, get_term_limit, set_term_limit
 from .schur import SchurContext
 from .subspaces import (
     additive_poly,
@@ -28,8 +28,6 @@ from .subspaces import (
     span,
 )
 from .verify import GROUPS, SweepConfig, run_sweep
-
-AMBIENT_VARS = 8  # parse bases against the full ambient alphabet
 
 
 def _parse_partition(text: str | None) -> tuple:
@@ -54,7 +52,7 @@ def _parse_basis(ring, text: str | None) -> list:
 
 def _space(args):
     spec = parse_field_spec(args.field)
-    ring = ambient_ring(spec, AMBIENT_VARS)
+    ring = ambient_ring(spec, len(AMBIENT_NAMES))  # the full ambient alphabet
     V = span(ring, _parse_basis(ring, args.basis))
     return spec, ring, V
 
@@ -89,7 +87,8 @@ def cmd_compute(args) -> int:
             "field": spec.to_text(),
             "basis": V.describe(),
             "value": str(fv),
-            "fractional_exponents": False,
+            "fractional_exponents": any(c.has_fractional_exponents()
+                                        for c in fv.coeffs.values()),
         })
     return _emit(args, str(value), {
         "field": spec.to_text(),

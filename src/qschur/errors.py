@@ -80,10 +80,6 @@ class EnumerationTooLarge(QschurError):
     """Requested enumeration exceeds the configured ceiling."""
 
 
-class NotQPolynomial(QschurError):
-    """A polynomial expected to be additive has a non-q-power exponent."""
-
-
 class NotSubspace(QschurError):
     """Claimed containment of subspaces (or membership) does not hold."""
 

@@ -33,8 +33,8 @@ compare keys directly. Frobenius twists move the shift and scale the keys
 only when the shift runs out; sums, products and quotients align two
 shifts, and re-pack at a new width, only when they differ. A sum of
 products (sum_of_products) aligns all its operands at once and adds every
-product into one accumulator, the loop that a single product runs too,
-so no product or partial sum of it is built as a Poly. Outside this
+product into one accumulator, so no product or partial sum of it is built
+as a Poly; a single product is the one-triple case of that sum. Outside this
 module monomials are (vector, shift) pairs, passed from leading_monomial()
 to coeff_of() and PolyRing.key(); coeff_at_leading() looks one polynomial's
 leading monomial up in another and keeps it a key when it can.
@@ -441,19 +441,7 @@ class Poly:
             )
         if not self.terms or not other.terms:
             return self.ring.zero
-        d = max(self.shift, other.shift)
-        # the leading terms multiply to the leading term, so the product's
-        # degree, and with it its width, is known before it is formed
-        w = _width(_top(self, d) + _top(other, d))
-        ta, tb = _aligned(self, d, w), _aligned(other, d, w)
-        out: dict = {}
-        _accumulate(out, ta, tb, 1, self.ring.spec, "product")
-        # _top cached both leading keys; they add up when neither was re-keyed
-        lead = None
-        if ta is self.terms and tb is other.terms:
-            lead = self._lead + other._lead
-        # a copy, so the slots of cancelled keys are not kept alive
-        return _poly(self.ring, dict(out), d, w, lead)
+        return _fused(self.ring, [(1, self, other)], "product")
 
     def __rmul__(self, other) -> "Poly":
         if isinstance(other, (FieldElement, int)):
@@ -1066,18 +1054,6 @@ class UniPoly:
 
     def coefficient(self, e: int) -> Poly:
         return self.coeffs.get(e, self.ring.zero)
-
-    def is_q_poly(self) -> bool:
-        """True iff every t-exponent is a power of q (1, q, q^2, ...)."""
-        q = self.ring.spec.q
-        for e in self.coeffs:
-            if e < 1:
-                return False
-            while e % q == 0:
-                e //= q
-            if e != 1:
-                return False
-        return True
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniPoly):

@@ -17,8 +17,9 @@ subspace of the same ring.
 
 Subspaces are hash-consed (J.-C. Filliatre and S. Conchon, "Type-Safe
 Modular Hash-Consing", ML Workshop 2006): equal subspaces are one object,
-which remembers its quotients, its annihilator, pi, its vectors and its
-hyperplanes.
+which remembers its quotients, its annihilator, its vectors and its
+hyperplanes. pi(V), the product of the nonzero vectors of V, is the
+coefficient of t in f_V, so it is read off the remembered annihilator.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from itertools import combinations, product
 from .errors import (
     DimensionDrop,
     EnumerationTooLarge,
-    NotQPolynomial,
     NotSubspace,
     RingMismatch,
     TermLimitExceeded,
@@ -72,13 +72,13 @@ class Subspace:
     enumerate_subspaces(), enumerate_lines(), the hyperplanes of a flag and
     internal_quotient() all return it, so everything derived from a space
     is formed once for every caller. It remembers its quotients V // U, its
-    annihilator f_V, pi(V), its vectors and its hyperplanes; a remembered
+    annihilator f_V, its vectors and its hyperplanes; a remembered
     value still meets the enumeration ceiling and the term limit of each
     later call.
     """
 
     __slots__ = ("ring", "basis", "_hash", "_text", "_quotients", "_annihilator",
-                 "_pi", "_vectors", "_hyperplanes", "__weakref__")
+                 "_vectors", "_hyperplanes", "__weakref__")
 
     def __new__(cls, ring: PolyRing, basis: tuple[Poly, ...]) -> "Subspace":
         # Trusted constructor: basis must already be canonical; use span()
@@ -92,8 +92,7 @@ class Subspace:
             self._hash = hash(key)
             self._text = None
             self._quotients = None  # U -> V // U, filled by internal_quotient
-            self._annihilator = None  # f_V, filled by additive_poly
-            self._pi = None  # pi(V), filled by pi_product
+            self._annihilator = None  # f_V, filled by _annihilator
             self._vectors = None  # tuple of enumerate_vectors(V)
             self._hyperplanes = None  # tuple of _hyperplanes(V)
             _live[key] = self
@@ -291,29 +290,14 @@ def enumerate_flags(V: Subspace) -> list[Flag]:
     return flags
 
 
-def pi_product(V: Subspace) -> Poly:
-    """Product of all nonzero vectors of V; one for the zero subspace."""
-    _check_ceiling(V.ring.spec.q, V.dim)
-    acc = V._pi
-    if acc is None:
-        acc = V.ring.one
-        for v in enumerate_vectors(V):
-            if v.terms:
-                acc = acc * v
-        V._pi = acc
-    _check_term_limit("pi", [acc])
-    return acc
-
-
-def additive_poly(U: Subspace) -> UniPoly:
-    """The annihilator f_U(t), the product of (t + u) over all u in U.
-
-    Built by Ore's recursion over the basis of U: with a_i the coefficient
-    of t^(q^i) in f_U and b = f_U(v) = sum a_i * v^(q^i), adjoining v gives
-    f(t)^q - b^(q-1) * f(t), whose coefficients are a_(i-1)^q - b^(q-1) * a_i.
-    The a_i lie over F_q, so a_i^q is a Frobenius twist (O. Ore, Trans. AMS
-    35 (1933); D. Goss, Basic Structures of Function Field Arithmetic, ch. 1).
-    Always additive: every t-exponent is a power of q (asserted)."""
+def _annihilator(U: Subspace) -> UniPoly:
+    """f_U, formed once per U by Ore's recursion over the basis of U: with
+    a_i the coefficient of t^(q^i) in f_U and b = f_U(v) = sum a_i * v^(q^i),
+    adjoining v gives f(t)^q - b^(q-1) * f(t), whose coefficients are
+    a_(i-1)^q - b^(q-1) * a_i. The a_i lie over F_q, so a_i^q is a Frobenius
+    twist, and every t-exponent is a power of q by construction (O. Ore,
+    Trans. AMS 35 (1933); D. Goss, Basic Structures of Function Field
+    Arithmetic, ch. 1). Checks the enumeration ceiling, not the term limit."""
     q = U.ring.spec.q
     _check_ceiling(q, U.dim)
     f = U._annihilator
@@ -326,10 +310,24 @@ def additive_poly(U: Subspace) -> UniPoly:
             # the new top coefficient a_(k-1)^q has no c * a_k part
             top = a[-1].frobenius(1)
             a = [prev.frobenius(1) - c * cur for prev, cur in zip([zero] + a, a)] + [top]
-        f = UniPoly(U.ring, {q**i: ai for i, ai in enumerate(a) if ai.terms})
-        if not f.is_q_poly():
-            raise NotQPolynomial(f"annihilator has a non-q-power exponent: {f}")
-        U._annihilator = f
+        f = U._annihilator = UniPoly(U.ring, {q**i: ai for i, ai in enumerate(a) if ai.terms})
+    return f
+
+
+def pi_product(V: Subspace) -> Poly:
+    """Product of all nonzero vectors of V, one for the zero subspace: the
+    coefficient of t in f_V = t * prod (t + u) over nonzero u. Only pi
+    itself meets the term limit."""
+    pi = _annihilator(V).coefficient(1)
+    _check_term_limit("pi", [pi])
+    return pi
+
+
+def additive_poly(U: Subspace) -> UniPoly:
+    """The annihilator f_U(t), the product of (t + u) over all u in U, from
+    _annihilator. Always additive: every t-exponent is a power of q. Every
+    coefficient meets the term limit."""
+    f = _annihilator(U)
     _check_term_limit("annihilator coefficient", f.coeffs.values())
     return f
 

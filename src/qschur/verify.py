@@ -451,7 +451,8 @@ def check_elementary_lemmas(spec: FieldSpec, n: int, seed: int = 0, trials: int 
         for w in enumerate_vectors(V):
             if not w.terms:
                 continue
-            lhs = pi_product(span(ring, [w]))
+            # multiplied out, not read off f_L: the case checks Wilson's theorem
+            lhs = subspaces.coset_product(span(ring, [w]), Subspace.zero(ring))
             rhs = -(w ** (q - 1))
             if lhs != rhs:
                 break

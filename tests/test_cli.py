@@ -56,6 +56,23 @@ def test_compute_json_round_trips(capsys):
     assert str(ring.parse(payload["value"])) == payload["value"]
 
 
+def test_compute_annihilator_fractional_flag(capsys):
+    # the flag reads the coefficients of f_V, which keep the basis's roots
+    code, out, _ = run(capsys, "compute", "f", "--basis", "x^1/2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == "t^2 + (x^1/2)*t"
+    assert payload["fractional_exponents"] is True
+
+
+def test_compute_annihilator_integral_flag(capsys):
+    code, out, _ = run(capsys, "compute", "f", "--basis", "x;y", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == "t^4 + (x^2 + x*y + y^2)*t^2 + (x^2*y + x*y^2)*t"
+    assert payload["fractional_exponents"] is False
+
+
 def test_compute_tilde_fractional_flag(capsys):
     # the second-row twist is phi^(-1), which leaves q-th roots behind
     code, out, _ = run(capsys, "compute", "tilde", "--lambda", "1,1",

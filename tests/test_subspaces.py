@@ -166,7 +166,7 @@ def test_additive_poly():
     V = span(R, [x, y])
     f = additive_poly(V)
     assert str(f) == "t^4 + (x^2 + x*y + y^2)*t^2 + (x^2*y + x*y^2)*t"
-    assert f.is_q_poly()
+    assert set(f.coeffs) == {1, 2, 4}
     for w in enumerate_vectors(V):
         assert f.apply(w).is_zero()
     assert not f.apply(z).is_zero()
@@ -336,7 +336,7 @@ def test_annihilator_is_monic_and_vanishes_on_the_space(ftext, data):
     q = R.spec.q
     assert max(f.coeffs) == q**U.dim
     assert f.coefficient(q**U.dim).is_one()
-    assert f.is_q_poly()
+    assert set(f.coeffs) <= {q**i for i in range(U.dim + 1)}
     for u in enumerate_vectors(U):
         assert f.apply(u).is_zero()
 
@@ -477,6 +477,16 @@ def test_remembered_values_match_references(ftext, basis):
                 plain = plain * v
         assert pi == plain
         assert enumerate_vectors(U) == enumerate_vectors(U) == plain_vectors(U)
+
+
+@pytest.mark.parametrize("ftext,basis", REMEMBERED_SPACES)
+def test_pi_is_read_off_the_annihilator(ftext, basis):
+    """pi(U) is the coefficient of t in f_U itself, not a product formed
+    again; test_remembered_values_match_references multiplies it out."""
+    R = ambient_ring(parse_field_spec(ftext), 3)
+    V = span(R, [R.parse(v) for v in basis.split("; ")])
+    for U in enumerate_subspaces(V):
+        assert pi_product(U) is additive_poly(U).coefficient(1)
 
 
 def test_remembered_values_still_meet_the_ceiling(set_ceiling):

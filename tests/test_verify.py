@@ -226,7 +226,8 @@ def test_a_wrong_diagonal_value_shows_in_lifted_cells(monkeypatch):
 @pytest.mark.parametrize("identity", ["gl-invariance", "pi-of-line", "division-round-trip",
                                       "he-inverse", "h-factorization", "hook-step",
                                       "quotient-tower", "coset-product", "power-sum-zero",
-                                      "vector-power-sum", "perm-witness"])
+                                      "vector-power-sum", "perm-witness",
+                                      "full-column-reduction"])
 def test_failures_render_both_sides(monkeypatch, identity):
     """Corrupt one side of a check: the failing case prints both values,
     and they differ."""
@@ -319,9 +320,15 @@ def test_failures_render_both_sides(monkeypatch, identity):
         monkeypatch.setattr(verify, "enumerate_vectors", lambda W: list(honest_vectors(W))[:-1])
         reps = check_elementary_lemmas(spec, 2, seed=0, trials=2)
     elif identity == "pi-of-line":
-        honest_pi = verify.pi_product
-        monkeypatch.setattr(verify, "pi_product", lambda U: honest_pi(U) + U.ring.one)
+        honest_coset = subspaces.coset_product
+        monkeypatch.setattr(subspaces, "coset_product",
+                            lambda U, Uprime: honest_coset(U, Uprime) + U.ring.one)
         reps = check_elementary_lemmas(spec, 2, seed=0, trials=2)
+    elif identity == "full-column-reduction":
+        # at lambda = (1^n) the sides are the alternant E_n and -+ pi(V)
+        honest_pi = subspaces.pi_product
+        monkeypatch.setattr(subspaces, "pi_product", lambda U: honest_pi(U) + U.ring.one)
+        reps = [check_full_column(ctx, (1,) * V.dim, V)]
     else:
         honest_div = verify.exact_div
         monkeypatch.setattr(verify, "exact_div", lambda a, b: honest_div(a, b) + a.ring.one)
