@@ -14,7 +14,9 @@ Determinants are computed by cofactor expansion with memoized minors, which
 is exact and fast at the sizes used here (at most seven rows). Each cofactor
 row sum, and each first-row cell of a window product, is formed in one
 accumulator by ppoly.sum_of_products: its products are never built on their
-own. The other window-product cells are Frobenius lifts of the first row.
+own; with a unitriangular left array, such as H or E, each first-row sum
+is seeded by its unit product. The other window-product cells are Frobenius
+lifts of the first row.
 """
 
 from __future__ import annotations
@@ -181,6 +183,11 @@ def window_product(
     summed, one sum of products per diagonal, and every other cell is a
     lift of it. A lift by no more than the first-row cell's shift shares
     its terms. Any other triangular array raises WindowInvalid.
+
+    Each first-row sum runs its products in the order m = 0..d, so when
+    a(lo, lo) is 1 the sum starts with the unit product 1 * b(lo, lo + d),
+    which seeds the accumulator with b's terms (sharing their keys) rather
+    than adding them one by one.
     """
     if lo > hi:
         raise WindowInvalid(f"window [{lo}, {hi}] is empty")

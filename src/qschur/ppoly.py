@@ -34,9 +34,13 @@ only when the shift runs out; sums, products and quotients align two
 shifts, and re-pack at a new width, only when they differ. A sum of
 products (sum_of_products) aligns all its operands at once and adds every
 product into one accumulator, so no product or partial sum of it is built
-as a Poly; a single product is the one-triple case of that sum. Outside this
-module monomials are (vector, shift) pairs, passed from leading_monomial()
-to coeff_of() and PolyRing.key(); coeff_at_leading() looks one polynomial's
+as a Poly; a single product is the one-triple case of that sum. A product
+with a one-term operand seeds an empty accumulator in one pass (a unit
+product copies the other operand's terms) and otherwise adds in one loop
+with the term folded in once. Exact division (exact_div) is a heap
+division whose heap entries carry their quotient terms. Outside this module
+monomials are (vector, shift) pairs, passed from leading_monomial() to
+coeff_of() and PolyRing.key(); coeff_at_leading() looks one polynomial's
 leading monomial up in another and keeps it a key when it can.
 
 Internal coefficient shape: terms maps each key to the index of its
@@ -50,7 +54,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Iterable
 
 from .errors import (
@@ -318,17 +322,62 @@ def _aligned(p: "Poly", d: int, w: int) -> dict:
     return terms
 
 
+def _seeded(ta: dict, tb: dict, own: dict, ci: int, spec: FieldSpec, what: str) -> dict:
+    """The terms of c * a * b, a or b of one term, as _accumulate would
+    leave them in an empty accumulator; own is the terms dict of the other
+    operand (of b when both have one term).
+
+    The keys are distinct, so _accumulate's first checkpoint past the limit
+    would count all of b after a one-term a, and limit + 1 before a one-term
+    b; those counts are raised before anything is built. A unit monomial
+    with coefficient product 1 copies the other operand's terms, sharing
+    their keys, or takes them as they are when aligning already copied
+    them."""
+    one, rest = (ta, tb) if len(ta) == 1 else (tb, ta)
+    if len(rest) > _term_limit:
+        raise _over_limit(what, len(rest) if one is ta else _term_limit + 1)
+    (k, c), = one.items()
+    cc = spec.mul_table[ci][c]
+    if not k and cc == 1:
+        return dict(rest) if rest is own else rest
+    row = spec.mul_table[cc]
+    return {k + m: row[x] for m, x in rest.items()}
+
+
 def _accumulate(out: dict, ta: dict, tb: dict, ci: int, spec: FieldSpec, what: str) -> None:
     """Add c * a * b into out, a dict from keys to nonzero coefficient
     indices: ta and tb are the terms of a and b, aligned to one shift and
     one width, and ci is the index of c. A sum that cancels leaves no key
     behind. Raises TermLimitExceeded once out holds more terms than the
-    limit after some term of a."""
+    limit after some term of a.
+
+    A one-term a, or a one-term b when out cannot pass the limit within the
+    terms of a, is folded in once and the other operand's terms run in one
+    loop, checked at its end."""
     limit = _term_limit
     mul_t = spec.mul_table
     add_t = spec.add_table
     crow = mul_t[ci]
     get = out.get
+    if len(ta) == 1 or (len(tb) == 1 and len(out) + len(ta) <= limit):
+        one, rest = (ta, tb) if len(ta) == 1 else (tb, ta)
+        (k, c), = one.items()
+        row = mul_t[crow[c]]
+        for m, x in rest.items():
+            m += k
+            t = row[x]
+            prev = get(m)
+            if prev is None:
+                out[m] = t
+            else:
+                s = add_t[prev][t]
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        if len(out) > limit:
+            raise _over_limit(what, len(out))
+        return
     tb_items = tb.items()
     for ma, ca in ta.items():
         mrow = mul_t[crow[ca]]
@@ -632,17 +681,30 @@ def sum_of_products(ring: PolyRing, triples: Iterable) -> Poly:
 
 def _fused(ring: PolyRing, live: list, what: str) -> Poly:
     """sum_of_products on checked (coefficient index, a, b) triples with
-    nonzero parts; what names the sum in a TermLimitExceeded message."""
+    nonzero parts; what names the sum in a TermLimitExceeded message. A
+    product with a one-term operand that meets an empty accumulator seeds
+    it (_seeded) instead of adding into it; a sum whose last triple seeded
+    it has no cancelled slots, and is returned without a copy."""
     if not live:
         return ring.zero
+    if len(live) == 1:
+        (_, a, b), = live
+        d = a.shift if a.shift >= b.shift else b.shift
+        w = _width(_top(a, d) + _top(b, d))
+    else:
+        d = max(max(a.shift, b.shift) for _, a, b in live)
+        w = _width(max(_top(a, d) + _top(b, d) for _, a, b in live))
     spec = ring.spec
-    d = max(max(a.shift, b.shift) for _, a, b in live)
-    w = _width(max(_top(a, d) + _top(b, d) for _, a, b in live))
     out: dict = {}
     for ci, a, b in live:
-        _accumulate(out, _aligned(a, d, w), _aligned(b, d, w), ci, spec, what)
-    # a copy, so the slots of cancelled keys are not kept alive
-    return _poly(ring, dict(out), d, w)
+        ta, tb = _aligned(a, d, w), _aligned(b, d, w)
+        seeded = not out and (len(ta) == 1 or len(tb) == 1)
+        if seeded:
+            out = _seeded(ta, tb, b.terms if len(ta) == 1 else a.terms, ci, spec, what)
+        else:
+            _accumulate(out, ta, tb, ci, spec, what)
+    # otherwise a copy, so the slots of cancelled keys are not kept alive
+    return _poly(ring, out if seeded else dict(out), d, w)
 
 
 def _power_text(name: str, e: int, d: int, q: int) -> str:
@@ -768,9 +830,12 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     using a heap", J. Symb. Comput. 46, 2011): the remainder is never
     formed. Its next term is the larger of the next term of a and the top of
     a heap of pending products q_i * b_j, which holds at most one product
-    per quotient term. Products with equal keys are not merged in the heap;
-    they are popped together and summed, and a sum that cancels leaves
-    nothing behind.
+    per quotient term. A heap entry (-key, j, key of q_i, multiplication
+    row of q_i's coefficient) carries its quotient term, so each quotient
+    term goes straight into the output dict, leading term first, and no
+    list is kept per quotient term. Products with equal keys are not merged
+    in the heap; they are popped together and summed, and a sum that
+    cancels leaves nothing behind.
     """
     if a.ring != b.ring:
         raise RingMismatch("exact_div operands in different rings")
@@ -796,10 +861,8 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     # the divisor's other terms, with negated coefficient indices
     b_rest = [(k, neg[tb[k]]) for k in b_keys[1:]]
     nb = len(b_rest)
-    q_keys: list[int] = []
-    q_coeffs: list[int] = []
-    q_next: list[int] = []  # index into b_rest of each quotient term's pending product
-    heap: list[tuple[int, int]] = []  # (-key, quotient index)
+    out: dict = {}
+    heap: list = []  # (-key, j, quotient key, its row of mul_t): the product q * b_rest[j]
     ai = 0
     while ai < na or heap:
         m = a_keys[ai] if ai < na else -1
@@ -810,32 +873,29 @@ def exact_div(a: Poly, b: Poly) -> Poly:
             c = ta[m]
             ai += 1
         while heap and heap[0][0] == -m:
-            i = heappop(heap)[1]
-            j = q_next[i]
-            c = add_t[c][mul_t[q_coeffs[i]][b_rest[j][1]]]
+            _, j, qk, row = heap[0]
+            c = add_t[c][row[b_rest[j][1]]]
             j += 1
             if j < nb:
-                q_next[i] = j
-                heappush(heap, (-(q_keys[i] + b_rest[j][0]), i))
+                heapreplace(heap, (-(qk + b_rest[j][0]), j, qk, row))
+            else:
+                heappop(heap)
         if not c:
             continue
-        r = m - b_lead
-        if r & guard:
+        qk = m - b_lead
+        if qk & guard:
             # some field borrowed: the divisor's leading term does not divide
             raise NotDivisible(
                 "leading term "
                 + poly_to_text(_poly(ring, {m: c}, d, w))
                 + " is not divisible by the divisor's leading term"
             )
-        i = len(q_keys)
-        if i == limit:
-            raise _over_limit("quotient", i + 1)
-        q_keys.append(r)
-        q_coeffs.append(mul_t[c][b_inv])
-        q_next.append(0)
+        if len(out) == limit:
+            raise _over_limit("quotient", limit + 1)
+        qc = out[qk] = mul_t[c][b_inv]
         if nb:
-            heappush(heap, (-(r + b_rest[0][0]), i))
-    return _poly(ring, dict(zip(q_keys, q_coeffs)), d, w, q_keys[0])
+            heappush(heap, (-(qk + b_rest[0][0]), 0, qk, mul_t[qc]))
+    return _poly(ring, out, d, w, next(iter(out)))
 
 
 def _variable_images(images) -> list[int] | None:

@@ -94,9 +94,15 @@ class SchurContext:
       complete flag;
     - pieri, coproduct, coproduct-truncation: skew values on a quotient
       against expansions in skew values on V and tilde values on U;
-    - he-inverse: the product of the H_r array and the E_r array, both
+    - he-inverse: the product of the E_r array and the H_r array, both
       substituted universal quotients of different shapes on the bare
-      basis, against the identity; both arrays are Frobenius-twisted
+      basis, against the identity. This is the lemma that H and E are
+      mutually inverse: the window of a product of upper-triangular arrays
+      is the product of their windows, and of two square matrices over a
+      commutative ring, one product is the identity exactly when the other
+      is. In the order E * H each first-row sum starts with its largest
+      product, 1 * phi(H_d), which seeds the accumulator, and the
+      E_j * H_(d - j) products drain it; both arrays are Frobenius-twisted
       Toeplitz arrays, so the product sums only its first window row and
       lifts the rest by phi;
     - h-factorization: the H_r array of V against the product of those of

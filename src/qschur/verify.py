@@ -222,9 +222,10 @@ def _window_sides(left, right, lo: int) -> tuple[str, str]:
 
 
 def check_he_inverse(ctx: SchurContext, V: Subspace, lo: int, hi: int) -> CaseReport:
-    """The H and E arrays of V are mutually inverse on the window [lo, hi]."""
+    """The H and E arrays of V are mutually inverse on the window [lo, hi]:
+    E * H is the identity there (SchurContext says why this order)."""
     t0 = time.perf_counter()
-    prod = fmatrix.window_product(ctx.h_matrix(V), ctx.e_matrix(V), lo, hi)
+    prod = fmatrix.window_product(ctx.e_matrix(V), ctx.h_matrix(V), lo, hi)
     ok = prod.is_identity()
     sides = ("", "")
     if not ok:

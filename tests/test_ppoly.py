@@ -366,6 +366,46 @@ def test_term_limit_covers_division_and_substitution():
         set_term_limit(saved)
 
 
+def test_term_limit_on_seeded_and_one_term_paths():
+    """A one-term factor seeds an empty accumulator or runs in one loop;
+    either way the limit is checked after every term of the first factor,
+    so a one-term first factor counts all its row and a one-term second
+    factor stops at limit + 1. Each case raises at its size - 1 and at a
+    smaller limit with those counts, and fits at its size."""
+    R = ring3()
+    x, y = R.gens()
+    row = sum((y**k for k in range(6)), R.zero)  # 6 terms
+    col = sum((x**k for k in range(1, 5)), R.zero)  # 4 terms, none shared with x^9
+    sop = lambda *triples: lambda: sum_of_products(R, list(triples))
+    cases = [
+        # (value, what the message names, its size, {limit: count in the message})
+        (sop((1, R.one, row), (1, x**9, row)), "sum of products", 12, {3: 6, 11: 12}),
+        (sop((1, row, R.one), (1, row, x**9)), "sum of products", 12, {3: 4, 11: 12}),
+        (sop((2, x**9, row)), "sum of products", 6, {3: 6, 5: 6}),
+        (sop((2, row, x**9)), "sum of products", 6, {3: 4, 5: 6}),
+        (sop((1, col, row), (1, x**9, row)), "sum of products", 30, {25: 30, 29: 30}),
+        (sop((1, col, row), (1, row, x**9)), "sum of products", 30, {25: 26, 29: 30}),
+        (lambda: row * R.one, "product", 6, {3: 4, 5: 6}),
+        (lambda: x**9 * row, "product", 6, {3: 6, 5: 6}),
+        (lambda: row * x**9, "product", 6, {3: 4, 5: 6}),
+        (lambda: exact_div(x**20 - y**20, x - y), "quotient", 20, {3: 4, 19: 20}),
+    ]
+    saved = get_term_limit()
+    try:
+        for value, what, size, counts in cases:
+            for limit, count in counts.items():
+                set_term_limit(limit)
+                with pytest.raises(TermLimitExceeded, match=f"^{what} holds {count} terms, "):
+                    value()
+            set_term_limit(size)
+            assert len(value().terms) == size
+        # a seeded sum that cancels stays under the limit
+        set_term_limit(6)
+        assert sum_of_products(R, [(1, R.one, row), (-1, row, R.one)]) is R.zero
+    finally:
+        set_term_limit(saved)
+
+
 def test_unipoly_basics():
     R = ring2()
     x, y = R.gens()
@@ -428,7 +468,7 @@ def test_terms_hold_untracked_coefficient_indices(ftext):
 
 # Properties -----------------------------------------------------------------
 
-FIELDS = ["q=2", "q=3", "q=2^2", "q=3^2"]
+FIELDS = ["q=2", "q=3", "q=2^2", "q=5", "q=7", "q=3^2"]
 
 
 @st.composite
@@ -806,8 +846,62 @@ def test_sum_of_products_edge_cases(ftext):
     agree_fully(sum_of_products(R, triples), r ** (R.spec.q + 1) + y * y)
     with pytest.raises(RingMismatch):
         sum_of_products(R, [(1, x, ambient_ring(R.spec, 3).gen(0))])
+    other = field_spec(7 if R.spec.q == 5 else 5)  # a scalar from another field
     with pytest.raises(RingMismatch):
-        sum_of_products(R, [(field_spec(5).one, x, y)])
+        sum_of_products(R, [(other.one, x, y)])
+
+
+def ref_sum_of_products(ring, triples):
+    """The sum of c * a * b over the triples, by the tuple-vector loops."""
+    d = max((max(a.shift, b.shift) for _, a, b in triples), default=0)
+    out = {}
+    for c, a, b in triples:
+        for ma, ca in ref_aligned(a, d).items():
+            for mb, cb in ref_aligned(b, d).items():
+                ref_merge(out, tuple(map(add, ma, mb)), c * ca * cb)
+    return ref_poly(ring, out, d)
+
+
+@st.composite
+def one_term_polys(draw, ring):
+    """The unit, a multiple of it, or a scaled monomial, some fractional."""
+    spec = ring.spec
+    m = ring.one
+    if draw(st.booleans()):
+        for g in ring.gens():
+            m = m * g ** draw(st.integers(0, 6))
+    m = m.scale(spec.elements[draw(st.integers(1, spec.q - 1))])
+    return m.frobenius(-draw(twists))
+
+
+@st.composite
+def seeded_triples(draw, ring):
+    """Triples whose first has a one-term operand, on either side, then
+    product_triples; when the negation of every triple follows, the sum
+    cancels to zero, and later one-term products may seed it again."""
+    spec = ring.spec
+    one = draw(st.one_of(st.just(ring.one), one_term_polys(ring)))
+    other = draw(st.one_of(edge_polys(ring), polys(ring).filter(bool)))
+    other = other.frobenius(-draw(twists))
+    c = spec.elements[draw(st.integers(1, spec.q - 1))]
+    triples = [(c, one, other) if draw(st.booleans()) else (c, other, one)]
+    triples += draw(product_triples(ring))
+    if draw(st.booleans()):
+        triples += [(-c, a, b) for c, a, b in draw(st.permutations(triples))]
+    return triples
+
+
+@pytest.mark.parametrize("ftext", FIELDS)
+@given(data=st.data())
+def test_sums_seeded_by_a_one_term_product_match_the_tuple_loops(ftext, data):
+    R = field_ring(ftext)
+    triples = data.draw(seeded_triples(R))
+    before = [(dict(a.terms), dict(b.terms)) for _, a, b in triples]
+    agree_fully(sum_of_products(R, triples), ref_sum_of_products(R, triples))
+    _, a, b = triples[0]
+    agree(a * b, ref_mul(a, b))
+    # a seed copies an operand's terms and never writes into them
+    assert [(a.terms, b.terms) for _, a, b in triples] == before
 
 
 def leibniz_det(rows, ring):

@@ -106,6 +106,32 @@ def test_check_he_inverse_window():
         check_he_inverse(ctx, V, 2, -2)
 
 
+@pytest.mark.parametrize("ftext, n", [("q=2", 1), ("q=2", 2), ("q=3", 2), ("q=2^2", 1)])
+def test_he_inverse_holds_in_both_orders(monkeypatch, ftext, n):
+    """check_he_inverse forms E*H; over a commutative ring one product of
+    square matrices is the identity exactly when the other is, and the
+    window of a product of upper-triangular arrays is the product of their
+    windows, so H*E on the same window is the identity too. E_1 + 1 in
+    place of E_1 fails the check."""
+    from qschur import fmatrix
+
+    spec = parse_field_spec(ftext)
+    ctx = SchurContext(spec)
+    R = ambient_ring(spec, n)
+    V = span(R, R.gens())
+    lo, hi = -(n + 2), n + 2
+    H, E = ctx.h_matrix(V), ctx.e_matrix(V)
+    assert fmatrix.window_product(E, H, lo, hi).is_identity()
+    assert fmatrix.window_product(H, E, lo, hi).is_identity()
+    assert check_he_inverse(ctx, V, lo, hi).status == "pass"
+    honest = ctx.e_r
+    monkeypatch.setattr(ctx, "e_r",
+                        lambda r, W: honest(r, W) + R.one if r == 1 else honest(r, W))
+    rep = check_he_inverse(ctx, V, lo, hi)
+    assert rep.status == "fail"
+    assert rep.lhs and rep.rhs and rep.lhs != rep.rhs
+
+
 def test_check_factorization_small():
     spec, ctx, R, V = make()
     U = span(R, [R.gens()[0]])
@@ -216,7 +242,8 @@ def test_a_wrong_diagonal_value_shows_in_lifted_cells(monkeypatch):
     assert rep.status == "fail"
     cells = [tuple(int(k) for k in cell.split(": ")[0].strip("()").split(","))
              for cell in rep.lhs.split("; ")]
-    # cell (i, j) gains +-phi^j E_(j - i - 3), nonzero for j - i in 3..3 + dim V
+    # cell (i, j) of E*H gains +-phi^(j - 3) E_(j - i - 3), nonzero for j - i
+    # in 3..3 + dim V
     diagonals = set(range(3, 3 + V.dim + 1))
     assert {j - i for i, j in cells} == diagonals
     for d in diagonals:
