@@ -36,8 +36,8 @@ products (sum_of_products) aligns all its operands at once and adds every
 product into one accumulator, so no product or partial sum of it is built
 as a Poly; a single product is the one-triple case of that sum. A product
 with a one-term operand seeds an empty accumulator in one pass (a unit
-product copies the other operand's terms) and otherwise adds in one loop
-with the term folded in once. Exact division (exact_div) is a heap
+product copies the other operand's terms); otherwise the one loop of the
+accumulator takes the one-term operand first. Exact division (exact_div) is a heap
 division whose heap entries carry their quotient terms. Outside this module
 monomials are (vector, shift) pairs, passed from leading_monomial() to
 coeff_of() and PolyRing.key(); coeff_at_leading() looks one polynomial's
@@ -351,33 +351,17 @@ def _accumulate(out: dict, ta: dict, tb: dict, ci: int, spec: FieldSpec, what: s
     behind. Raises TermLimitExceeded once out holds more terms than the
     limit after some term of a.
 
-    A one-term a, or a one-term b when out cannot pass the limit within the
-    terms of a, is folded in once and the other operand's terms run in one
-    loop, checked at its end."""
+    A one-term b, when out cannot pass the limit within the terms of a, is
+    swapped to the front: its one row then runs over the terms of a and is
+    checked once at the end, which is the last checkpoint that could
+    raise."""
     limit = _term_limit
     mul_t = spec.mul_table
     add_t = spec.add_table
     crow = mul_t[ci]
     get = out.get
-    if len(ta) == 1 or (len(tb) == 1 and len(out) + len(ta) <= limit):
-        one, rest = (ta, tb) if len(ta) == 1 else (tb, ta)
-        (k, c), = one.items()
-        row = mul_t[crow[c]]
-        for m, x in rest.items():
-            m += k
-            t = row[x]
-            prev = get(m)
-            if prev is None:
-                out[m] = t
-            else:
-                s = add_t[prev][t]
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        if len(out) > limit:
-            raise _over_limit(what, len(out))
-        return
+    if len(tb) == 1 and len(out) + len(ta) <= limit:
+        ta, tb = tb, ta
     tb_items = tb.items()
     for ma, ca in ta.items():
         mrow = mul_t[crow[ca]]
@@ -687,13 +671,18 @@ def _fused(ring: PolyRing, live: list, what: str) -> Poly:
     it has no cancelled slots, and is returned without a copy."""
     if not live:
         return ring.zero
-    if len(live) == 1:
-        (_, a, b), = live
-        d = a.shift if a.shift >= b.shift else b.shift
-        w = _width(_top(a, d) + _top(b, d))
-    else:
-        d = max(max(a.shift, b.shift) for _, a, b in live)
-        w = _width(max(_top(a, d) + _top(b, d) for _, a, b in live))
+    d = 0
+    for _, a, b in live:
+        if a.shift > d:
+            d = a.shift
+        if b.shift > d:
+            d = b.shift
+    top = 0
+    for _, a, b in live:
+        t = _top(a, d) + _top(b, d)
+        if t > top:
+            top = t
+    w = _width(top)
     spec = ring.spec
     out: dict = {}
     for ci, a, b in live:

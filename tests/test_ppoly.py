@@ -367,8 +367,8 @@ def test_term_limit_covers_division_and_substitution():
 
 
 def test_term_limit_on_seeded_and_one_term_paths():
-    """A one-term factor seeds an empty accumulator or runs in one loop;
-    either way the limit is checked after every term of the first factor,
+    """A one-term factor seeds an empty accumulator or runs first in the
+    accumulator loop; either way the limit is checked after every term of the first factor,
     so a one-term first factor counts all its row and a one-term second
     factor stops at limit + 1. Each case raises at its size - 1 and at a
     smaller limit with those counts, and fits at its size."""
