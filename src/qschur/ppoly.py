@@ -37,11 +37,12 @@ product into one accumulator, so no product or partial sum of it is built
 as a Poly; a single product is the one-triple case of that sum. A product
 with a one-term operand seeds an empty accumulator in one pass (a unit
 product copies the other operand's terms); otherwise the one loop of the
-accumulator takes the one-term operand first. Exact division (exact_div) is a heap
-division whose heap entries carry their quotient terms. Outside this module
-monomials are (vector, shift) pairs, passed from leading_monomial() to
-coeff_of() and PolyRing.key(); coeff_at_leading() looks one polynomial's
-leading monomial up in another and keeps it a key when it can.
+accumulator takes the one-term operand first. Exact division (exact_div)
+is a heap division whose heap entries carry their quotient terms. Outside
+this module monomials are (vector, shift) pairs, passed from
+leading_monomial() to coeff_of() and PolyRing.key(); coeff_at_leading()
+looks one polynomial's leading monomial up in another and keeps it a key
+when it can.
 
 Internal coefficient shape: terms maps each key to the index of its
 nonzero coefficient in spec.elements (an int in 1..q-1), which the
