@@ -28,7 +28,7 @@ from . import fmatrix, partitions, subspaces
 from .errors import LengthTooLong, NotSubspace, ZeroVector
 from .gf import FieldSpec
 from .partitions import Partition
-from .ppoly import Poly, PolyRing, evaluate_morphism, sum_of_products, universal_ring
+from .ppoly import Poly, evaluate_morphism, sum_of_products, universal_ring
 from .ppoly import _variable_images
 from .subspaces import Subspace
 
@@ -79,9 +79,7 @@ class SchurContext:
       E_j for one-row shapes and, for the rest, the cached skew_S(lam, (), V),
       so a dense straight value and its skew value are one object;
     - S_lam/mu(V) (skew_S): the twisted determinant over the H_r on V's own
-      basis, on every basis; tilde_S likewise over the E_r;
-    - schur_on_basis: the universal quotient substituted onto an explicit
-      spanning list.
+      basis, on every basis; tilde_S likewise over the E_r.
 
     What each identity of qschur.verify compares a value against (the sweep
     runs on bare-variable bases, whose quotients V // U have dense bases):
@@ -109,8 +107,8 @@ class SchurContext:
       V // U and U, formed the same way;
     - hook-step, full-column-reduction: values against pi(U) times values of
       smaller shapes;
-    - gl-invariance, functoriality: schur_S against schur_on_basis, and
-      against the universal quotient pushed onto a random family;
+    - gl-invariance, functoriality: schur_S against the universal quotient
+      pushed onto a random basis of V, and onto a random family;
     - k-independence: skew_S at size k against size k + 1; vanishing and
       degree-formula against closed forms.
     """
@@ -151,22 +149,6 @@ class SchurContext:
         return got
 
     # Straight values -----------------------------------------------------
-
-    def schur_on_basis(self, lam: Partition, vectors: Sequence[Poly], ring: PolyRing) -> Poly:
-        """Straight value on an explicit (independent) spanning list.
-
-        Used to witness basis independence; schur_S is the cached entry point
-        on canonical bases.
-        """
-        lam = partitions.partition(lam)
-        n = len(vectors)
-        if Subspace.span(ring, vectors).dim != n:
-            raise NotSubspace("spanning list is linearly dependent")
-        if len(lam) > n:
-            return ring.zero
-        if n == 0:
-            return ring.one
-        return evaluate_morphism(self.universal_schur(lam, n), list(vectors))
 
     def schur_S(self, lam: Partition, V: Subspace) -> Poly:
         """The straight value S_lam(V); zero when lam is longer than dim V."""

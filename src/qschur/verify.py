@@ -140,9 +140,10 @@ def check_straight_recursion(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
 
     Direct route: evaluate both sides in the ambient ring. Transport route:
     run the same comparison on the generic space spanned by the universal
-    variables, then push both sides through the substitution onto V's basis.
-    The case passes only when each route holds and the pushed-forward sides
-    agree bit for bit with the direct ones.
+    variables, then push its left side through the substitution onto V's
+    basis. The case passes only when each route holds and the pushed-forward
+    left side agrees bit for bit with the direct one; the pushed right side
+    then agrees too, since push(u_rhs) = push(u_lhs) = lhs = rhs.
     """
     t0 = time.perf_counter()
     lam = partitions.partition(lam)
@@ -157,12 +158,10 @@ def check_straight_recursion(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
     u_rhs = uring.zero
     for L in enumerate_lines(W):
         u_rhs = u_rhs + ctx.schur_S(lam, internal_quotient(W, L))
-    images = list(V.basis)
     ok = (
         lhs == rhs
         and u_lhs == u_rhs
-        and evaluate_morphism(u_lhs, images, target_ring=V.ring) == lhs
-        and evaluate_morphism(u_rhs, images, target_ring=V.ring) == rhs
+        and evaluate_morphism(u_lhs, list(V.basis), target_ring=V.ring) == lhs
     )
     return _case("straight-recursion", ctx.spec.q, V, lam, (), t0, ok, lhs, rhs)
 
@@ -561,7 +560,9 @@ def _check_perm_witness(q: int) -> list[CaseReport]:
 
 
 def check_gl_invariance(ctx: SchurContext, lam, V: Subspace, seed: int, changes: int = 10) -> CaseReport:
-    """The straight value is unchanged under invertible basis changes."""
+    """The straight value is unchanged under invertible basis changes: on
+    each random basis of V, the universal quotient pushed onto that basis
+    equals schur_S(lam, V). Needs len(lam) <= dim V."""
     t0 = time.perf_counter()
     lam = partitions.partition(lam)
     rng = random.Random(f"gl:{ctx.spec.to_text()}:{V.describe()}:{lam}:{seed}")
@@ -579,7 +580,7 @@ def check_gl_invariance(ctx: SchurContext, lam, V: Subspace, seed: int, changes:
         if Subspace.span(V.ring, vectors).dim != n:
             continue
         done += 1
-        changed = ctx.schur_on_basis(lam, vectors, V.ring)
+        changed = evaluate_morphism(ctx.universal_schur(lam, n), vectors, target_ring=V.ring)
         if changed != base:
             break
     return _case("gl-invariance", spec.q, V, lam, (), t0, changed == base, changed, base)
@@ -726,8 +727,9 @@ def _factorization_cases(cfg, ctx, V):
             yield check_factorization(ctx, V, U)
 
 
-def _truncation_cases(cfg, ctx, ring):
+def _truncation_cases(cfg, ctx):
     if cfg.max_dim >= 2:
+        ring = ambient_ring(ctx.spec, 2)
         V, U = span(ring, ring.gens()[:2]), span(ring, [ring.gen(0)])
         yield check_coproduct_truncation(ctx, (2,), (), (1, 1), V, U)
         yield check_coproduct_truncation(ctx, (1,), (1,), (), V, U)
@@ -738,12 +740,13 @@ class Identity:
     """One row of IDENTITIES: the identity names it reports, its group, and
     its case grid.
 
-    cases(cfg, ctx, V) yields the row's reports on V = span of the first n
-    ambient variables, for each swept n in min_n..max_n. A per_field row's
-    cases(cfg, ctx, ring) runs once per field instead, after every
-    dimension, with the sweep's ambient ring. A row that names several
-    identities (a bundle) runs when any of them is chosen, and the sweep
-    keeps the reports of the chosen ones.
+    cases(cfg, ctx, V) yields the row's reports on V, for each swept n in
+    min_n..max_n; V is spanned by all n variables of the ambient ring of
+    its own size, ambient_ring(spec, max(n, 1)). A per_field row's
+    cases(cfg, ctx) runs once per field instead, after every dimension, and
+    builds its own rings. A row that names several identities (a bundle)
+    runs when any of them is chosen, and the sweep keeps the reports of the
+    chosen ones.
     """
 
     names: tuple
@@ -779,7 +782,7 @@ IDENTITIES = (
     Identity(("he-inverse",), "matrix-calculus", _he_inverse_cases, max_n=2),
     Identity(("h-factorization",), "matrix-calculus", _factorization_cases, max_n=2),
     Identity(("cauchy-binet", "sign-scaled-det", "zero-block-det"), "matrix-calculus",
-             lambda cfg, ctx, ring: check_matrix_lemmas(ctx.spec, cfg.seed, trials=cfg.trials),
+             lambda cfg, ctx: check_matrix_lemmas(ctx.spec, cfg.seed, trials=cfg.trials),
              per_field=True),
     Identity(("quotient-tower",), "subspace-calculus", lambda cfg, ctx, V: (
         check_quotient_tower(V, U, T, ctx.spec.q)
@@ -796,7 +799,7 @@ IDENTITIES = (
         for lam in partitions_up_to_weight(cfg.max_weight, V.dim) if len(lam) == V.dim), min_n=1),
     # elementary runs at n = 1..3 whatever min_dim is
     Identity(("power-sum-zero", "line-sum", "pi-of-line", "low-degree-point-sum",
-              "vector-power-sum", "perm-witness"), "elementary", lambda cfg, ctx, ring: (
+              "vector-power-sum", "perm-witness"), "elementary", lambda cfg, ctx: (
         rep for n in range(1, min(3, max(cfg.max_dim, 1)) + 1)
         for rep in check_elementary_lemmas(ctx.spec, n, seed=cfg.seed, trials=cfg.trials)),
         per_field=True),
@@ -809,13 +812,15 @@ IDENTITIES = (
     Identity(("vanishing",), "structural", lambda cfg, ctx, V: (
         rep for lam, mu in _pair_grid(min(cfg.max_weight, 3), None)
         for rep in check_vanishing(ctx, lam, mu, V, V))),
-    Identity(("division-round-trip",), "structural", lambda cfg, ctx, ring: (
+    Identity(("division-round-trip",), "structural", lambda cfg, ctx: (
         check_division_round_trip(ctx.spec, cfg.seed, pairs=cfg.trials),), per_field=True),
     Identity(("degree-formula",), "structural", lambda cfg, ctx, V: (
         check_degree_formula(ctx, lam, V)
         for lam in partitions_up_to_weight(_weight_cap(cfg, V.dim), V.dim)), min_n=1),
+    # the random family spans a proper subspace of the widest swept ring
     Identity(("functoriality",), "structural", lambda cfg, ctx, V: (
-        check_functoriality(ctx, lam, V.dim, V.ring, cfg.seed)
+        check_functoriality(ctx, lam, V.dim, ambient_ring(ctx.spec, max(cfg.max_dim, 1)),
+                            cfg.seed)
         for lam in partitions_up_to_weight(min(cfg.max_weight, 3), V.dim)), min_n=1, max_n=2),
     Identity(("coproduct-truncation",), "structural", _truncation_cases, per_field=True),
 )
@@ -913,8 +918,9 @@ def run_sweep(cfg: SweepConfig) -> dict:
 
     Returns {"cases": [...], "aggregate": {total, passed, failed, seed}} with
     cases sorted canonically. Deterministic for a fixed config apart from the
-    millis timing fields. cfg.ceiling bounds every enumeration, annihilator
-    and quotient in the sweep; the previous ceiling is restored afterwards.
+    millis timing fields. Each swept space lives in the ambient ring of its
+    own dimension (see Identity). cfg.ceiling bounds every enumeration,
+    annihilator and quotient; the previous ceiling is restored afterwards.
     """
     cfg.validate()
     saved = subspaces.get_enumeration_ceiling()
@@ -945,16 +951,16 @@ def _sweep_reports(cfg: SweepConfig) -> list:
     for ftext in cfg.fields:
         spec = parse_field_spec(ftext)
         ctx = SchurContext(spec)
-        ring = ambient_ring(spec, max(cfg.max_dim, 1))
         found: list[CaseReport] = []
         for n in range(cfg.min_dim, cfg.max_dim + 1):
+            ring = ambient_ring(spec, max(n, 1))
             V = span(ring, ring.gens()[:n])
             for row in rows:
                 if row.runs_at(n):
                     found.extend(row.cases(cfg, ctx, V))
         for row in rows:
             if row.per_field:
-                found.extend(row.cases(cfg, ctx, ring))
+                found.extend(row.cases(cfg, ctx))
         if spec.e > 1:
             # q alone does not tell two moduli of one field size apart
             for rep in found:

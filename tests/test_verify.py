@@ -328,9 +328,10 @@ def test_failures_render_both_sides(monkeypatch, identity):
         monkeypatch.setattr(subspaces, "pi_product", lambda U: honest_pi(U) + U.ring.one)
         reps = [check_hook_step(ctx, span(R, [R.gens()[0]]), 2)]
     elif identity == "gl-invariance":
-        honest_on_basis = ctx.schur_on_basis
-        monkeypatch.setattr(ctx, "schur_on_basis",
-                            lambda lam, vectors, ring: honest_on_basis(lam, vectors, ring) + ring.one)
+        honest_morphism = verify.evaluate_morphism
+        monkeypatch.setattr(verify, "evaluate_morphism",
+                            lambda p, images, target_ring=None:
+                            honest_morphism(p, images, target_ring) + images[0].ring.one)
         reps = [check_gl_invariance(ctx, (1,), V, seed=0)]
     elif identity == "coset-product":
         honest_pi = subspaces.pi_product
@@ -426,6 +427,28 @@ def test_mutation_is_caught():
     assert rep.lhs != rep.rhs
     # and the honest summand still passes
     assert check_vl_recursion(ctx, (2,), (), V).status == "pass"
+
+
+@pytest.mark.parametrize("corrupt", ["generic space only", "every generic value"])
+def test_straight_recursion_catches_a_corrupted_generic_value(monkeypatch, corrupt):
+    """Adding one to the generic-space value S_lam(W) alone breaks the
+    generic comparison; adding one to every generic value keeps it (three
+    lines, and 3 = 1 over F_2) and breaks the transport onto V instead."""
+    spec, ctx, R, V = make()
+    honest = ctx.schur_S
+
+    def corrupted(lam, W):
+        value = honest(lam, W)
+        if W.ring.kind == "universal" and (corrupt != "generic space only" or W.dim == V.dim):
+            return value + W.ring.one
+        return value
+
+    assert check_straight_recursion(ctx, (2,), V).status == "pass"
+    monkeypatch.setattr(ctx, "schur_S", corrupted)
+    rep = check_straight_recursion(ctx, (2,), V)
+    assert rep.status == "fail"
+    # the direct sides are honest and equal
+    assert rep.lhs == rep.rhs == str(honest((2,), V))
 
 
 def test_sweep_config_defaults_valid():
@@ -707,12 +730,24 @@ PINNED_SWEEPS = [
       "power-sum-zero": 2, "quotient-tower": 199, "sign-scaled-det": 4,
       "straight-recursion": 4, "vector-power-sum": 4, "vl-recursion": 6, "zero-block-det": 4},
      "dd6e84f0fa04cf173fd467b6a684978596998ecd549ccb8126e2839e6dc486e3"),
+    # every dimension 0..3 at both default fields: each space in the ring of
+    # its own size, functoriality's family in the widest one
+    (dict(fields=("q=2", "q=3"), max_dim=3),
+     {"cauchy-binet": 6, "coproduct": 187, "coproduct-truncation": 4, "coset-product": 234,
+      "degree-formula": 22, "division-round-trip": 2, "flag-formula": 24,
+      "full-column-reduction": 6, "functoriality": 14, "gl-invariance": 22,
+      "h-factorization": 17, "he-inverse": 6, "hook-step": 87, "k-independence": 58,
+      "line-sum": 6, "low-degree-point-sum": 6, "perm-witness": 12, "pi-flag-product": 82,
+      "pi-of-line": 2, "pieri": 264, "power-sum-zero": 2, "quotient-tower": 234,
+      "sign-scaled-det": 6, "straight-recursion": 16, "vanishing": 44,
+      "vector-power-sum": 4, "vl-recursion": 36, "zero-block-det": 6},
+     "1897280c422ee7f963ab4863c59a6d2b9437c994ccf8d01e48682c620b5c6451"),
 ]
 
 
 @pytest.mark.parametrize("overrides, counts, digest", PINNED_SWEEPS,
                          ids=["q2-all", "q4-skew-subspace-structural", "q2-dims-1-3",
-                              "q2-q3-dim-3"])
+                              "q2-q3-dim-3", "q2-q3-dims-0-3"])
 def test_run_sweep_case_list_is_pinned(overrides, counts, digest):
     cfg = SweepConfig(**dict(dict(min_dim=0, max_dim=2, max_weight=2, trials=3), **overrides))
     report = run_sweep(cfg)
@@ -739,13 +774,52 @@ def test_groups_and_identities_keep_their_order():
 TABLE_CFG = dict(fields=("q=2",), min_dim=0, max_dim=2, max_weight=1, trials=1)
 
 
+def test_each_swept_space_lives_in_the_ring_of_its_own_size(monkeypatch):
+    """Every dimension row gets V = span of all variables of the
+    max(n, 1)-variable ambient ring; per-field rows get (cfg, ctx) alone;
+    functoriality draws its family in the max(max_dim, 1)-variable ring."""
+    from dataclasses import replace
+
+    seen, per_field, functoriality_rings = [], [], []
+
+    def spied(row):
+        def cases(cfg, ctx, *rest):
+            if row.per_field:
+                assert rest == ()
+                per_field.append((row.names, ctx.spec.q))
+            else:
+                (V,) = rest
+                seen.append((row.names, ctx.spec, V))
+            return row.cases(cfg, ctx, *rest)
+        return replace(row, cases=cases)
+
+    honest_functoriality = verify.check_functoriality
+
+    def spied_functoriality(ctx, lam, n, ring, seed):
+        functoriality_rings.append((ctx.spec, ring))
+        return honest_functoriality(ctx, lam, n, ring, seed)
+
+    monkeypatch.setattr(verify, "IDENTITIES", tuple(spied(row) for row in verify.IDENTITIES))
+    monkeypatch.setattr(verify, "check_functoriality", spied_functoriality)
+    report = run_sweep(SweepConfig(fields=("q=2", "q=3"), min_dim=0, max_dim=3,
+                                   max_weight=1, trials=1))
+    assert report["aggregate"]["failed"] == 0
+    assert {V.dim for _, _, V in seen} == {0, 1, 2, 3}
+    for names, spec, V in seen:
+        ring = ambient_ring(spec, max(V.dim, 1))
+        assert V.ring is ring and V.basis == ring.gens()[:V.dim], (names, V.dim)
+    assert len(per_field) == 2 * sum(row.per_field for row in verify.IDENTITIES)
+    assert functoriality_rings
+    assert all(ring is ambient_ring(spec, 3) for spec, ring in functoriality_rings)
+
+
 def test_each_table_row_reports_exactly_the_names_it_declares():
     cfg = SweepConfig(**TABLE_CFG)
     ctx = SchurContext(field_spec(2))
     ring = ambient_ring(ctx.spec, 2)
     for row in verify.IDENTITIES:
         if row.per_field:
-            reports = list(row.cases(cfg, ctx, ring))
+            reports = list(row.cases(cfg, ctx))
         else:
             reports = [rep for n in range(3) if row.runs_at(n)
                        for rep in row.cases(cfg, ctx, span(ring, ring.gens()[:n]))]
