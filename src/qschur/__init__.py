@@ -17,7 +17,6 @@ from .ppoly import (
     ambient_ring,
     evaluate_morphism,
     exact_div,
-    universal_ring,
 )
 from .schur import SchurContext
 from .subspaces import (
@@ -57,7 +56,6 @@ __all__ = [
     "pi_product",
     "power_sum",
     "span",
-    "universal_ring",
     "wilson_product",
     "__version__",
 ]

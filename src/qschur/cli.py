@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import partitions
@@ -28,6 +29,9 @@ from .subspaces import (
     span,
 )
 from .verify import GROUPS, SweepConfig, run_sweep
+
+
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 
 def _parse_partition(text: str | None) -> tuple:
@@ -50,9 +54,19 @@ def _parse_basis(ring, text: str | None) -> list:
     return [ring.parse(piece) for piece in pieces if piece]
 
 
-def _space(args):
+def _ring_size(*texts: str | None) -> int:
+    """Variables of the smallest ambient ring naming every variable in the
+    texts; all of them when a name is not an ambient variable, so that the
+    parser reports it against the full alphabet."""
+    names = {nm for text in texts if text for nm in _NAME_RE.findall(text)}
+    if not names <= set(AMBIENT_NAMES):
+        return len(AMBIENT_NAMES)
+    return max((AMBIENT_NAMES.index(nm) + 1 for nm in names), default=0)
+
+
+def _space(args, sub: str | None = None):
     spec = parse_field_spec(args.field)
-    ring = ambient_ring(spec, len(AMBIENT_NAMES))  # the full ambient alphabet
+    ring = ambient_ring(spec, _ring_size(args.basis, sub))
     V = span(ring, _parse_basis(ring, args.basis))
     return spec, ring, V
 
@@ -99,7 +113,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    spec, ring, V = _space(args)
+    spec, ring, V = _space(args, args.sub)
     U = span(ring, _parse_basis(ring, args.sub or ""))
     Q = internal_quotient(V, U)
     return _emit(args, Q.describe(), {

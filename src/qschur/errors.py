@@ -15,7 +15,7 @@ class InvalidFieldSpec(QschurError):
 
 
 class RingMismatch(QschurError):
-    """Operands live in different rings, or a morphism source is not universal."""
+    """Operands live in different rings, or a ring or substitution is malformed."""
 
 
 class PolyParseError(QschurError):

@@ -6,11 +6,9 @@ citizens: arithmetic, ordering, printing and parsing all handle them
 exactly. Substitution is the one operation that insists on integer
 exponents.
 
-A PolyRing fixes the coefficient field, the variable names, and a kind tag.
-Rings of kind "universal" hold the generic coordinates that quotient
-polynomials are computed in before substitution; rings of kind "ambient"
-hold actual working variables. Mixing rings in arithmetic is an error, and
-evaluate_morphism (substitution) is the only bridge between them.
+A PolyRing fixes the coefficient field and the variable names. Mixing
+rings in arithmetic is an error, and evaluate_morphism (substitution) is
+the only bridge between them.
 
 The monomial order is graded lexicographic: compare exact total degrees
 first, then the exponent vectors with the lowest-index variable most
@@ -136,24 +134,20 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 
 
 class PolyRing:
-    """Polynomial ring: a field spec, ordered variable names, and a kind tag."""
+    """Polynomial ring: a field spec and ordered variable names."""
 
-    __slots__ = ("spec", "names", "kind", "nvars", "zero", "one", "_gens", "_name_index",
-                 "_hash")
+    __slots__ = ("spec", "names", "nvars", "zero", "one", "_gens", "_name_index", "_hash")
 
-    def __init__(self, spec: FieldSpec, names: Iterable[str], kind: str = "ambient"):
+    def __init__(self, spec: FieldSpec, names: Iterable[str]):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise RingMismatch("ring variable names must be distinct")
         for nm in names:
             if not _NAME_RE.match(nm):
                 raise RingMismatch(f"bad variable name {nm!r}")
-        if kind not in ("ambient", "universal"):
-            raise RingMismatch(f"unknown ring kind {kind!r}")
         self.spec = spec
         self.names = names
-        self.kind = kind
-        self._hash = hash((spec, names, kind))
+        self._hash = hash((spec, names))
         self._name_index = {nm: i for i, nm in enumerate(names)}
         n = self.nvars = len(names)
         self.zero = Poly(self, {})
@@ -211,21 +205,19 @@ class PolyRing:
             isinstance(other, PolyRing)
             and other.spec == self.spec
             and other.names == self.names
-            and other.kind == self.kind
         )
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"PolyRing({self.spec.to_text()}, {self.names}, {self.kind})"
+        return f"PolyRing({self.spec.to_text()}, {self.names})"
 
     def parse(self, text: str) -> "Poly":
         return _parse_poly(self, text)
 
 
 _AMBIENT_CACHE: dict[tuple[FieldSpec, int], PolyRing] = {}
-_UNIVERSAL_CACHE: dict[tuple[FieldSpec, int], PolyRing] = {}
 
 
 def ambient_ring(spec: FieldSpec, n: int) -> PolyRing:
@@ -234,17 +226,8 @@ def ambient_ring(spec: FieldSpec, n: int) -> PolyRing:
         raise RingMismatch(f"ambient rings support at most {len(AMBIENT_NAMES)} variables")
     ring = _AMBIENT_CACHE.get((spec, n))
     if ring is None:
-        ring = PolyRing(spec, AMBIENT_NAMES[:n], "ambient")
+        ring = PolyRing(spec, AMBIENT_NAMES[:n])
         _AMBIENT_CACHE[(spec, n)] = ring
-    return ring
-
-
-def universal_ring(spec: FieldSpec, n: int) -> PolyRing:
-    """Generic-coordinate ring with n variables named x1..xn."""
-    ring = _UNIVERSAL_CACHE.get((spec, n))
-    if ring is None:
-        ring = PolyRing(spec, tuple(f"x{i}" for i in range(1, n + 1)), "universal")
-        _UNIVERSAL_CACHE[(spec, n)] = ring
     return ring
 
 
@@ -905,20 +888,18 @@ def _variable_images(images) -> list[int] | None:
 def evaluate_morphism(
     p: Poly, images: list[Poly], target_ring: PolyRing | None = None
 ) -> Poly:
-    """Substitute images for the variables of a universal-ring polynomial.
+    """Substitute images for the variables of p's ring.
 
-    The source must be a universal ring and p must have integer exponents;
-    the images must all live in one ring over the same field, which becomes
-    the target. target_ring is only needed for zero-variable sources. A
-    result over the term limit raises TermLimitExceeded.
+    p must have integer exponents; the images must all live in one ring
+    over the same field, which becomes the target (it may be p's own ring).
+    target_ring is only needed for zero-variable sources. A result over the
+    term limit raises TermLimitExceeded.
 
     One-term images map keys (_monomial_substitution); bare-variable images
     in order return p's own terms. Other images go by a q-adic Horner
     scheme (_horner_substitution).
     """
     ring = p.ring
-    if ring.kind != "universal":
-        raise RingMismatch("substitution source must be a universal ring")
     if len(images) != ring.nvars:
         raise RingMismatch(
             f"need {ring.nvars} images for {ring.nvars} variables, got {len(images)}"

@@ -3,9 +3,10 @@
 The alternant of a composition a = (a_1 > ... > a_n) is the determinant of
 the n x n matrix with entries x_i raised to q^(a_j). The quotient of the
 alternant at lam + staircase by the staircase alternant is an exact
-polynomial in the generic coordinates x1..xn; substituting a basis of an
-n-dimensional subspace V gives the straight value S_lam(V), which does not
-depend on the basis chosen.
+polynomial in the n variables of the ambient ring, the straight value on
+the space they span; substituting a basis of an n-dimensional subspace V
+gives the straight value S_lam(V), which does not depend on the basis
+chosen.
 
 Complete and elementary values H_r and E_r are the straight values at the
 one-row and one-column shapes. On every basis a skew value is one
@@ -28,7 +29,7 @@ from . import fmatrix, partitions, subspaces
 from .errors import LengthTooLong, NotSubspace, ZeroVector
 from .gf import FieldSpec
 from .partitions import Partition
-from .ppoly import Poly, evaluate_morphism, sum_of_products, universal_ring
+from .ppoly import Poly, ambient_ring, evaluate_morphism, sum_of_products
 from .ppoly import _variable_images
 from .subspaces import Subspace
 
@@ -71,8 +72,9 @@ class SchurContext:
 
     Routes, by value:
 
-    - universal quotient in x1..xn (universal_schur): alternant at
-      lam + staircase divided exactly by the staircase alternant;
+    - universal quotient in the n variables of the ambient ring
+      (universal_schur): alternant at lam + staircase divided exactly by
+      the staircase alternant;
     - S_lam(V) (schur_S): the universal quotient substituted onto the basis
       for one-column shapes on any basis and for every shape on a
       bare-variable basis; on denser bases, the window recursion over the
@@ -86,8 +88,7 @@ class SchurContext:
 
     - vl-recursion, straight-recursion: the value on V against the sum of
       values on the dense quotients V // L, whose H_r come from the window
-      recursion rather than substitution; straight-recursion also transports
-      the generic-space comparison onto V by substitution;
+      recursion rather than substitution;
     - flag-formula: S_lam(V) against products of H_r on the steps of every
       complete flag;
     - pieri, coproduct, coproduct-truncation: skew values on a quotient
@@ -108,7 +109,8 @@ class SchurContext:
     - hook-step, full-column-reduction: values against pi(U) times values of
       smaller shapes;
     - gl-invariance, functoriality: schur_S against the universal quotient
-      pushed onto a random basis of V, and onto a random family;
+      pushed onto a random basis of V, and onto a random family; these
+      carry the claim that substitution commutes with taking values;
     - k-independence: skew_S at size k against size k + 1; vanishing and
       degree-formula against closed forms.
     """
@@ -123,18 +125,19 @@ class SchurContext:
     # Universal layer -----------------------------------------------------
 
     def alternant(self, alpha: Sequence[int], n: int) -> Poly:
-        """det(x_i ** q**alpha_j) in the n-variable generic ring."""
+        """det(x_i ** q**alpha_j) in the n-variable ambient ring (n <= 8)."""
         alpha = tuple(alpha)
         if len(alpha) != n:
             raise LengthTooLong(f"composition {alpha} must have length n={n}")
-        ring = universal_ring(self.spec, n)
+        ring = ambient_ring(self.spec, n)
         rows = [[ring.gen(i).frobenius(a) for a in alpha] for i in range(n)]
         if n == 0:
             return ring.one
         return fmatrix.det(fmatrix.PolyMatrix(ring, rows))
 
     def universal_schur(self, lam: Partition, n: int) -> Poly:
-        """Alternant quotient at lam, an exact polynomial in x1..xn."""
+        """Alternant quotient at lam, an exact polynomial in the variables of
+        the n-variable ambient ring: the straight value on their span."""
         lam = partitions.partition(lam)
         key = (lam, n)
         with self._lock:

@@ -36,7 +36,6 @@ from .ppoly import (
     evaluate_morphism,
     exact_div,
     get_term_limit,
-    universal_ring,
 )
 from .schur import SchurContext
 from .subspaces import (
@@ -136,34 +135,15 @@ def check_vl_recursion(ctx: SchurContext, lam, mu, V: Subspace, summand_fn=None)
 
 
 def check_straight_recursion(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
-    """Straight value on V equals the sum over lines, by two routes.
-
-    Direct route: evaluate both sides in the ambient ring. Transport route:
-    run the same comparison on the generic space spanned by the universal
-    variables, then push its left side through the substitution onto V's
-    basis. The case passes only when each route holds and the pushed-forward
-    left side agrees bit for bit with the direct one; the pushed right side
-    then agrees too, since push(u_rhs) = push(u_lhs) = lhs = rhs.
-    """
+    """Straight value on V equals the sum of straight values on V // L over
+    all lines L."""
     t0 = time.perf_counter()
     lam = partitions.partition(lam)
     lhs = ctx.schur_S(lam, V)
     rhs = V.ring.zero
     for L in enumerate_lines(V):
         rhs = rhs + ctx.schur_S(lam, internal_quotient(V, L))
-    n = V.dim
-    uring = universal_ring(ctx.spec, n)
-    W = span(uring, uring.gens())
-    u_lhs = ctx.schur_S(lam, W)
-    u_rhs = uring.zero
-    for L in enumerate_lines(W):
-        u_rhs = u_rhs + ctx.schur_S(lam, internal_quotient(W, L))
-    ok = (
-        lhs == rhs
-        and u_lhs == u_rhs
-        and evaluate_morphism(u_lhs, list(V.basis), target_ring=V.ring) == lhs
-    )
-    return _case("straight-recursion", ctx.spec.q, V, lam, (), t0, ok, lhs, rhs)
+    return _case("straight-recursion", ctx.spec.q, V, lam, (), t0, lhs == rhs, lhs, rhs)
 
 
 def check_flag_formula(ctx: SchurContext, lam, V: Subspace) -> CaseReport:

@@ -95,7 +95,7 @@ def test_criterion_02_straight_recursion_both_routes():
             for lam in partitions_up_to_weight(4, max_length=n - 1):
                 reports.append(check_straight_recursion(ctx, lam, V))
     assert_all_pass(reports)
-    print(f"\nPASS criterion 2: straight recursion, direct and transported, "
+    print(f"\nPASS criterion 2: straight recursion, bare basis against dense quotients, "
           f"{len(reports)} cases, {time.time() - t0:.1f}s")
 
 

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from qschur.cli import main
+from qschur.cli import _ring_size, main
 from qschur.gf import parse_field_spec
 from qschur.ppoly import ambient_ring, get_term_limit
-from qschur.subspaces import DEFAULT_ENUMERATION_CEILING, get_enumeration_ceiling
+from qschur.schur import SchurContext
+from qschur.subspaces import DEFAULT_ENUMERATION_CEILING, get_enumeration_ceiling, span
 
 
 def run(capsys, *argv):
@@ -138,10 +139,43 @@ def test_exit_code_2_on_unknown_flag(capsys):
 
 
 def test_exit_code_3_on_precondition(capsys):
-    # quotient by a subspace that is not inside V
-    code, _, err = run(capsys, "quotient", "--basis", "x;y", "--sub", "z")
+    # quotient by a subspace that is not inside V; z is named only in --sub,
+    # and the ring still holds it, so this is no parse error
+    code, out, err = run(capsys, "quotient", "--basis", "x;y", "--sub", "z")
     assert code == 3
-    assert "error:" in err
+    assert out == ""
+    assert err == "error: quotient denominator z is not contained in x; y\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "E", "--r", "1", "--basis", "x;q"),
+    ("quotient", "--basis", "x;y", "--sub", "q"),
+])
+def test_unknown_variable_error_lists_every_ambient_variable(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown variable 'q'; ring variables are x, y, z, w, v, u, s, r\n"
+
+
+def test_ring_size_reaches_the_last_named_variable():
+    assert _ring_size("x;w", None) == 4
+    assert _ring_size("x;y", "z") == 3
+    assert _ring_size("x^1/2;[1,1]*y") == 2
+    assert _ring_size("1", "") == 0
+    # a name outside the alphabet keeps all eight, for the parser to report
+    assert _ring_size("x;q") == _ring_size("x1") == 8
+
+
+@pytest.mark.parametrize("basis", ["x;y", "x;w"])
+def test_a_value_in_a_ring_of_its_own_size_prints_as_in_all_eight(capsys, basis):
+    code, out, err = run(capsys, "compute", "S", "--lambda", "2,1", "--field", "q=3",
+                         "--basis", basis)
+    assert code == 0 and err == ""
+    spec = parse_field_spec("q=3")
+    ring = ambient_ring(spec, 8)
+    V = span(ring, [ring.parse(b) for b in basis.split(";")])
+    assert out == str(SchurContext(spec).schur_S((2, 1), V)) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -6,7 +6,7 @@ from qschur.errors import LengthTooLong, NotSubspace, ZeroVector
 from qschur import fmatrix
 from qschur.gf import field_spec, parse_field_spec
 from qschur.partitions import delta, pad_and_add, part, partition, partitions_up_to_weight
-from qschur.ppoly import ambient_ring, evaluate_morphism, exact_div, universal_ring
+from qschur.ppoly import ambient_ring, evaluate_morphism, exact_div
 from qschur.schur import SchurContext
 from qschur.subspaces import (
     enumerate_lines,
@@ -59,7 +59,7 @@ def test_h_and_e_edges():
 def test_universal_value_worked():
     ctx = SchurContext(field_spec(2))
     u = ctx.universal_schur((1,), 2)
-    assert str(u) == "x1^2 + x1*x2 + x2^2"
+    assert str(u) == "x^2 + x*y + y^2"
     assert ctx.universal_schur((1,), 2) is u  # cached
 
 
@@ -67,7 +67,7 @@ def test_staircase_alternant_is_product_of_line_representatives():
     for q in (2, 3):
         spec = field_spec(q)
         ctx = SchurContext(spec)
-        U = universal_ring(spec, 2)
+        U = ambient_ring(spec, 2)
         a = ctx.alternant(delta(2), 2)
         W = span(U, U.gens())
         prod = U.one
@@ -164,14 +164,14 @@ def reference_universal_skew(ctx, lam, mu, V, k):
     """(value, pushed): the skew value by the generic-ring route.
 
     The twisted k x k determinant is formed over the universal one-row
-    quotients in x1..xn and then substituted onto V's basis. Substitution
-    refuses fractional exponents; twists sit at 1 - k or above, so k - 1
-    Frobenius steps clear every denominator, and since substitution commutes
-    with Frobenius the result is pulled back by as many steps. pushed tells
-    whether that happened.
+    quotients in the n-variable ambient ring and then substituted onto V's
+    basis. Substitution refuses fractional exponents; twists sit at 1 - k or
+    above, so k - 1 Frobenius steps clear every denominator, and since
+    substitution commutes with Frobenius the result is pulled back by as
+    many steps. pushed tells whether that happened.
     """
     n = V.dim
-    ring = universal_ring(ctx.spec, n)
+    ring = ambient_ring(ctx.spec, n)
 
     def h(r):
         # one-row values vanish on the zero space, as in schur_S

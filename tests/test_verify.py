@@ -23,7 +23,9 @@ from qschur.subspaces import (
     DEFAULT_ENUMERATION_CEILING,
     Subspace,
     enumerate_flags,
+    enumerate_lines,
     get_enumeration_ceiling,
+    internal_quotient,
     span,
 )
 from qschur.verify import (
@@ -429,26 +431,37 @@ def test_mutation_is_caught():
     assert check_vl_recursion(ctx, (2,), (), V).status == "pass"
 
 
-@pytest.mark.parametrize("corrupt", ["generic space only", "every generic value"])
-def test_straight_recursion_catches_a_corrupted_generic_value(monkeypatch, corrupt):
-    """Adding one to the generic-space value S_lam(W) alone breaks the
-    generic comparison; adding one to every generic value keeps it (three
-    lines, and 3 = 1 over F_2) and breaks the transport onto V instead."""
+def test_straight_recursion_catches_a_corrupted_universal_value(monkeypatch):
+    """On a bare basis the value on V is the universal quotient itself, so
+    adding one to that quotient breaks the line sum."""
     spec, ctx, R, V = make()
+    assert check_straight_recursion(SchurContext(spec), (2,), V).status == "pass"
+    honest = ctx.universal_schur
+
+    def corrupted(lam, n):
+        value = honest(lam, n)
+        return value + value.ring.one if (lam, n) == ((2,), V.dim) else value
+
+    monkeypatch.setattr(ctx, "universal_schur", corrupted)
+    rep = check_straight_recursion(ctx, (2,), V)
+    assert rep.status == "fail"
+    assert rep.lhs == str(honest((2,), V.dim) + R.one)
+
+
+def test_straight_recursion_catches_one_corrupted_quotient_value(monkeypatch):
+    """Adding one to the value on a single quotient V // L breaks the sum."""
+    spec, ctx, R, V = make()
+    Q = internal_quotient(V, enumerate_lines(V)[0])
     honest = ctx.schur_S
 
     def corrupted(lam, W):
         value = honest(lam, W)
-        if W.ring.kind == "universal" and (corrupt != "generic space only" or W.dim == V.dim):
-            return value + W.ring.one
-        return value
+        return value + W.ring.one if (lam, W) == ((2,), Q) else value
 
-    assert check_straight_recursion(ctx, (2,), V).status == "pass"
     monkeypatch.setattr(ctx, "schur_S", corrupted)
     rep = check_straight_recursion(ctx, (2,), V)
     assert rep.status == "fail"
-    # the direct sides are honest and equal
-    assert rep.lhs == rep.rhs == str(honest((2,), V))
+    assert rep.lhs == str(honest((2,), V))
 
 
 def test_sweep_config_defaults_valid():
