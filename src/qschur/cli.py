@@ -74,7 +74,7 @@ def _space(args, sub: str | None = None):
 def _emit(args, text: str, payload: dict) -> int:
     if args.format == "json":
         print(json.dumps(payload))
-    else:
+    elif text:  # an empty listing prints nothing, not a blank line
         print(text)
     return 0
 
@@ -124,26 +124,14 @@ def cmd_quotient(args) -> int:
 
 def cmd_lines(args) -> int:
     spec, ring, V = _space(args)
-    lines = enumerate_lines(V)
-    texts = [str(L.basis[0]) for L in lines]
-    if args.format == "json":
-        print(json.dumps({"field": spec.to_text(), "lines": texts}))
-    else:
-        for t in texts:
-            print(t)
-    return 0
+    texts = [str(L.basis[0]) for L in enumerate_lines(V)]
+    return _emit(args, "\n".join(texts), {"field": spec.to_text(), "lines": texts})
 
 
 def cmd_flags(args) -> int:
     spec, ring, V = _space(args)
-    flags = enumerate_flags(V)
-    texts = [" > ".join(S.describe() for S in f.chain) for f in flags]
-    if args.format == "json":
-        print(json.dumps({"field": spec.to_text(), "flags": texts}))
-    else:
-        for t in texts:
-            print(t)
-    return 0
+    texts = [" > ".join(S.describe() for S in f.chain) for f in enumerate_flags(V)]
+    return _emit(args, "\n".join(texts), {"field": spec.to_text(), "flags": texts})
 
 
 def _split_fields(text: str) -> tuple:

@@ -872,7 +872,11 @@ def exact_div(a: Poly, b: Poly) -> Poly:
 
 
 def _variable_images(images) -> list[int] | None:
-    """Indices of the target variables when every image is a bare variable."""
+    """Indices of the target variables when every image is a bare variable.
+
+    No library code calls it; bench/layertrace.py counts relabelling
+    substitutions with it.
+    """
     out = []
     for im in images:
         if len(im.terms) != 1 or im.shift:

@@ -3,10 +3,11 @@
 The alternant of a composition a = (a_1 > ... > a_n) is the determinant of
 the n x n matrix with entries x_i raised to q^(a_j). The quotient of the
 alternant at lam + staircase by the staircase alternant is an exact
-polynomial in the n variables of the ambient ring, the straight value on
-the space they span; substituting a basis of an n-dimensional subspace V
-gives the straight value S_lam(V), which does not depend on the basis
-chosen.
+polynomial in the n variables of the ambient ring: the straight value on
+the generic space they span (subspaces.generic_space). Substituting a basis
+of any n-dimensional subspace V gives the straight value S_lam(V), which
+does not depend on the basis chosen; other spaces reach it by the routes of
+SchurContext.
 
 Complete and elementary values H_r and E_r are the straight values at the
 one-row and one-column shapes. On every basis a skew value is one
@@ -14,10 +15,9 @@ Frobenius-twisted determinant over the cached H_r of that basis (its tilde
 companion one over the E_r); for skew values the twist can be negative, so
 fractional exponents may and do occur.
 
-A SchurContext carries the per-field caches: universal quotients keyed by
-(shape, dimension), straight values keyed by (shape, canonical basis), and
-skew values keyed likewise with the matrix size. Cache inserts happen once,
-under a re-entrant lock.
+A SchurContext carries the per-field caches: straight values keyed by
+(shape, space), and skew values keyed likewise with the matrix size. Cache
+inserts happen once, under a re-entrant lock.
 """
 
 from __future__ import annotations
@@ -29,19 +29,8 @@ from . import fmatrix, partitions, subspaces
 from .errors import LengthTooLong, NotSubspace, ZeroVector
 from .gf import FieldSpec
 from .partitions import Partition
-from .ppoly import Poly, ambient_ring, evaluate_morphism, sum_of_products
-from .ppoly import _variable_images
-from .subspaces import Subspace
-
-
-def _plain_basis(V: Subspace) -> bool:
-    """True when every basis vector is a bare variable.
-
-    Substitution onto such a basis is a relabeling, so the universal route
-    costs nothing extra. Denser bases pay for every power of every image,
-    which is what the window-identity route avoids.
-    """
-    return _variable_images(list(V.basis)) is not None
+from .ppoly import Poly, ambient_ring, evaluate_morphism, exact_div, sum_of_products
+from .subspaces import Subspace, generic_space
 
 
 def _sized(lam, mu, k: int | None) -> tuple[Partition, Partition, int]:
@@ -72,19 +61,19 @@ class SchurContext:
 
     Routes, by value:
 
-    - universal quotient in the n variables of the ambient ring
-      (universal_schur): alternant at lam + staircase divided exactly by
-      the staircase alternant;
-    - S_lam(V) (schur_S): the universal quotient substituted onto the basis
-      for one-column shapes on any basis and for every shape on a
-      bare-variable basis; on denser bases, the window recursion over the
-      E_j for one-row shapes and, for the rest, the cached skew_S(lam, (), V),
-      so a dense straight value and its skew value are one object;
+    - S_lam(G) (schur_S) on the generic space G = generic_space(spec, n):
+      the alternant at lam + staircase divided exactly by the staircase
+      alternant;
+    - S_lam(V) (schur_S) on any other n-dimensional space: S_lam(G)
+      substituted onto V's basis for one-column shapes; the window recursion
+      over the E_j for one-row shapes and, for the rest, the cached
+      skew_S(lam, (), V), so such a straight value and its skew value are
+      one object;
     - S_lam/mu(V) (skew_S): the twisted determinant over the H_r on V's own
       basis, on every basis; tilde_S likewise over the E_r.
 
     What each identity of qschur.verify compares a value against (the sweep
-    runs on bare-variable bases, whose quotients V // U have dense bases):
+    runs on generic spaces, whose quotients V // U have dense bases):
 
     - vl-recursion, straight-recursion: the value on V against the sum of
       values on the dense quotients V // L, whose H_r come from the window
@@ -94,8 +83,8 @@ class SchurContext:
     - pieri, coproduct, coproduct-truncation: skew values on a quotient
       against expansions in skew values on V and tilde values on U;
     - he-inverse: the product of the E_r array and the H_r array, both
-      substituted universal quotients of different shapes on the bare
-      basis, against the identity. This is the lemma that H and E are
+      alternant quotients of different shapes on the generic space,
+      against the identity. This is the lemma that H and E are
       mutually inverse: the window of a product of upper-triangular arrays
       is the product of their windows, and of two square matrices over a
       commutative ring, one product is the identity exactly when the other
@@ -104,11 +93,14 @@ class SchurContext:
       E_j * H_(d - j) products drain it; both arrays are Frobenius-twisted
       Toeplitz arrays, so the product sums only its first window row and
       lifts the rest by phi;
-    - h-factorization: the H_r array of V against the product of those of
-      V // U and U, formed the same way;
+    - h-factorization: the H_r array of V, from the alternant, against the
+      product of those of V // U and U, formed the same way; on the lines
+      among U and V // U the H_r come from the window recursion;
     - hook-step, full-column-reduction: values against pi(U) times values of
-      smaller shapes;
-    - gl-invariance, functoriality: schur_S against the universal quotient
+      smaller shapes; hook-step's values on lines other than the generic
+      line come from the window recursion, pi(L) from the coefficient of t
+      in f_L;
+    - gl-invariance, functoriality: schur_S against the generic value
       pushed onto a random basis of V, and onto a random family; these
       carry the claim that substitution commutes with taking values;
     - k-independence: skew_S at size k against size k + 1; vanishing and
@@ -117,12 +109,11 @@ class SchurContext:
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
-        self._universal: dict[tuple[Partition, int], Poly] = {}
         self._straight: dict[tuple[Partition, Subspace], Poly] = {}
         self._skew: dict[tuple[Partition, Partition, int, Subspace], Poly] = {}
         self._lock = threading.RLock()
 
-    # Universal layer -----------------------------------------------------
+    # Alternants -----------------------------------------------------------
 
     def alternant(self, alpha: Sequence[int], n: int) -> Poly:
         """det(x_i ** q**alpha_j) in the n-variable ambient ring (n <= 8)."""
@@ -134,22 +125,6 @@ class SchurContext:
         if n == 0:
             return ring.one
         return fmatrix.det(fmatrix.PolyMatrix(ring, rows))
-
-    def universal_schur(self, lam: Partition, n: int) -> Poly:
-        """Alternant quotient at lam, an exact polynomial in the variables of
-        the n-variable ambient ring: the straight value on their span."""
-        lam = partitions.partition(lam)
-        key = (lam, n)
-        with self._lock:
-            got = self._universal.get(key)
-            if got is None:
-                from .ppoly import exact_div
-
-                top = self.alternant(partitions.pad_and_add(lam, n), n)
-                bottom = self.alternant(partitions.delta(n), n)
-                got = exact_div(top, bottom)
-                self._universal[key] = got
-        return got
 
     # Straight values -----------------------------------------------------
 
@@ -170,18 +145,24 @@ class SchurContext:
         return got
 
     def _straight_value(self, lam: Partition, V: Subspace) -> Poly:
-        """Uncached straight value, routed by the density of the basis.
+        """Uncached straight value, routed by the space.
 
-        One-column shapes and bare-variable bases morph the universal
-        quotient directly. On denser bases the one-row values climb the
-        window identity sum_j (-1)^j phi^(r-1)(E_j) H_(r-j) = 0, whose E_j
-        are the (small) one-column values, and every other shape is the
-        cached skew value at mu = (), the twisted determinant in the one-row
-        values.
+        On the generic space G of dimension n the value is the alternant
+        quotient; a one-column value on any other n-dimensional space is
+        G's value substituted onto V's basis. Otherwise the one-row values
+        climb the window identity sum_j (-1)^j phi^(r-1)(E_j) H_(r-j) = 0,
+        whose E_j are the (small) one-column values, and every other shape
+        is the cached skew value at mu = (), the twisted determinant in the
+        one-row values.
         """
         n = V.dim
-        if all(p == 1 for p in lam) or _plain_basis(V):
-            return evaluate_morphism(self.universal_schur(lam, n), list(V.basis))
+        G = generic_space(self.spec, n)
+        if V is G:
+            top = self.alternant(partitions.pad_and_add(lam, n), n)
+            bottom = self.alternant(partitions.delta(n), n)
+            return evaluate_morphism(exact_div(top, bottom), list(V.basis))
+        if all(p == 1 for p in lam):
+            return evaluate_morphism(self.schur_S(lam, G), list(V.basis))
         if len(lam) == 1:
             r = lam[0]
             return sum_of_products(V.ring, [

@@ -34,7 +34,8 @@ from .errors import (
     RingMismatch,
     TermLimitExceeded,
 )
-from .ppoly import Poly, PolyRing, UniPoly, get_term_limit, sum_of_products
+from .gf import FieldSpec
+from .ppoly import Poly, PolyRing, UniPoly, ambient_ring, get_term_limit, sum_of_products
 
 DEFAULT_ENUMERATION_CEILING = 243
 _ceiling = DEFAULT_ENUMERATION_CEILING
@@ -153,6 +154,13 @@ class Subspace:
 
 def span(ring: PolyRing, vectors) -> Subspace:
     return Subspace.span(ring, vectors)
+
+
+def generic_space(spec: FieldSpec, n: int) -> Subspace:
+    """The generic n-dimensional space, spanned by the n variables of
+    ambient_ring(spec, n); at n = 0 the zero space of the one-variable ring."""
+    ring = ambient_ring(spec, max(n, 1))
+    return Subspace(ring, ring.gens()[:n])
 
 
 def _check_ceiling(q: int, dim: int) -> None:

@@ -46,6 +46,7 @@ from .subspaces import (
     enumerate_lines,
     enumerate_subspaces,
     enumerate_vectors,
+    generic_space,
     internal_quotient,
     pi_product,
     span,
@@ -396,8 +397,8 @@ def check_elementary_lemmas(spec: FieldSpec, n: int, seed: int = 0, trials: int 
     rng = random.Random(f"elementary:{spec.to_text()}:{n}:{seed}")
     q = spec.q
     reports = []
-    ring = ambient_ring(spec, max(n, 1))
-    V = span(ring, list(ring.gens())[:n])
+    V = generic_space(spec, n)
+    ring = V.ring
 
     if n == 1:
         t0 = time.perf_counter()
@@ -539,28 +540,36 @@ def _check_perm_witness(q: int) -> list[CaseReport]:
 # Structural properties ----------------------------------------------------
 
 
+def _random_family(rng: random.Random, ring: PolyRing, vectors, n: int) -> tuple[list[Poly], Subspace]:
+    """n random F_q-combinations of vectors, drawn again until they are
+    independent; returns them and their span."""
+    spec = ring.spec
+    while True:
+        family = []
+        for _ in range(n):
+            w = ring.zero
+            for b in vectors:
+                w = w + b.scale(spec.elements[rng.randrange(spec.q)])
+            family.append(w)
+        W = Subspace.span(ring, family)
+        if W.dim == n:
+            return family, W
+
+
 def check_gl_invariance(ctx: SchurContext, lam, V: Subspace, seed: int, changes: int = 10) -> CaseReport:
     """The straight value is unchanged under invertible basis changes: on
-    each random basis of V, the universal quotient pushed onto that basis
-    equals schur_S(lam, V). Needs len(lam) <= dim V."""
+    each random basis of V, the value on the generic space pushed onto that
+    basis equals schur_S(lam, V). Needs len(lam) <= dim V."""
     t0 = time.perf_counter()
     lam = partitions.partition(lam)
     rng = random.Random(f"gl:{ctx.spec.to_text()}:{V.describe()}:{lam}:{seed}")
     spec = ctx.spec
     n = V.dim
+    generic = ctx.schur_S(lam, generic_space(spec, n))
     base = changed = ctx.schur_S(lam, V)
-    done = 0
-    while done < changes:
-        vectors = []
-        for _ in range(n):
-            w = V.ring.zero
-            for b in V.basis:
-                w = w + b.scale(spec.elements[rng.randrange(spec.q)])
-            vectors.append(w)
-        if Subspace.span(V.ring, vectors).dim != n:
-            continue
-        done += 1
-        changed = evaluate_morphism(ctx.universal_schur(lam, n), vectors, target_ring=V.ring)
+    for _ in range(changes):
+        vectors = _random_family(rng, V.ring, V.basis, n)[0]
+        changed = evaluate_morphism(generic, vectors, target_ring=V.ring)
         if changed != base:
             break
     return _case("gl-invariance", spec.q, V, lam, (), t0, changed == base, changed, base)
@@ -645,17 +654,9 @@ def check_functoriality(ctx: SchurContext, lam, n: int, ring: PolyRing, seed: in
     lam = partitions.partition(lam)
     spec = ctx.spec
     rng = random.Random(f"func:{spec.to_text()}:{n}:{lam}:{seed}")
-    while True:
-        images = []
-        for _ in range(n):
-            w = ring.zero
-            for g in ring.gens():
-                w = w + g.scale(spec.elements[rng.randrange(spec.q)])
-            images.append(w)
-        W = Subspace.span(ring, images)
-        if W.dim == n:
-            break
-    pushed = evaluate_morphism(ctx.universal_schur(lam, n), images, target_ring=ring)
+    images, W = _random_family(rng, ring, ring.gens(), n)
+    pushed = evaluate_morphism(ctx.schur_S(lam, generic_space(spec, n)), images,
+                               target_ring=ring)
     direct = ctx.schur_S(lam, W)
     return _case("functoriality", spec.q, W, lam, (), t0, pushed == direct, pushed, direct)
 
@@ -709,8 +710,8 @@ def _factorization_cases(cfg, ctx, V):
 
 def _truncation_cases(cfg, ctx):
     if cfg.max_dim >= 2:
-        ring = ambient_ring(ctx.spec, 2)
-        V, U = span(ring, ring.gens()[:2]), span(ring, [ring.gen(0)])
+        V = generic_space(ctx.spec, 2)
+        U = span(V.ring, [V.ring.gen(0)])
         yield check_coproduct_truncation(ctx, (2,), (), (1, 1), V, U)
         yield check_coproduct_truncation(ctx, (1,), (1,), (), V, U)
 
@@ -721,12 +722,12 @@ class Identity:
     its case grid.
 
     cases(cfg, ctx, V) yields the row's reports on V, for each swept n in
-    min_n..max_n; V is spanned by all n variables of the ambient ring of
-    its own size, ambient_ring(spec, max(n, 1)). A per_field row's
-    cases(cfg, ctx) runs once per field instead, after every dimension, and
-    builds its own rings. A row that names several identities (a bundle)
-    runs when any of them is chosen, and the sweep keeps the reports of the
-    chosen ones.
+    min_n..max_n; V is generic_space(spec, n), spanned by all n variables
+    of the ambient ring of its own size, and ctx is a fresh context for
+    that n. A per_field row's cases(cfg, ctx) runs once per field instead,
+    after every dimension, with a context of its own, and builds its own
+    rings. A row that names several identities (a bundle) runs when any of
+    them is chosen, and the sweep keeps the reports of the chosen ones.
     """
 
     names: tuple
@@ -898,9 +899,10 @@ def run_sweep(cfg: SweepConfig) -> dict:
 
     Returns {"cases": [...], "aggregate": {total, passed, failed, seed}} with
     cases sorted canonically. Deterministic for a fixed config apart from the
-    millis timing fields. Each swept space lives in the ambient ring of its
-    own dimension (see Identity). cfg.ceiling bounds every enumeration,
-    annihilator and quotient; the previous ceiling is restored afterwards.
+    millis timing fields. Each swept space is the generic space of its
+    dimension, with a context of its own (see Identity). cfg.ceiling bounds
+    every enumeration, annihilator and quotient; the previous ceiling is
+    restored afterwards.
     """
     cfg.validate()
     saved = subspaces.get_enumeration_ceiling()
@@ -930,14 +932,15 @@ def _sweep_reports(cfg: SweepConfig) -> list:
     reports: list[CaseReport] = []
     for ftext in cfg.fields:
         spec = parse_field_spec(ftext)
-        ctx = SchurContext(spec)
         found: list[CaseReport] = []
+        # one context per dimension: spaces of different dimensions live
+        # in different rings, so a context could share little across them
         for n in range(cfg.min_dim, cfg.max_dim + 1):
-            ring = ambient_ring(spec, max(n, 1))
-            V = span(ring, ring.gens()[:n])
+            ctx, V = SchurContext(spec), generic_space(spec, n)
             for row in rows:
                 if row.runs_at(n):
                     found.extend(row.cases(cfg, ctx, V))
+        ctx = SchurContext(spec)
         for row in rows:
             if row.per_field:
                 found.extend(row.cases(cfg, ctx))

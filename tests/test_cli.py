@@ -6,9 +6,14 @@ import pytest
 
 from qschur.cli import _ring_size, main
 from qschur.gf import parse_field_spec
-from qschur.ppoly import ambient_ring, get_term_limit
+from qschur.ppoly import ambient_ring, evaluate_morphism, get_term_limit
 from qschur.schur import SchurContext
-from qschur.subspaces import DEFAULT_ENUMERATION_CEILING, get_enumeration_ceiling, span
+from qschur.subspaces import (
+    DEFAULT_ENUMERATION_CEILING,
+    generic_space,
+    get_enumeration_ceiling,
+    span,
+)
 
 
 def run(capsys, *argv):
@@ -176,6 +181,17 @@ def test_a_value_in_a_ring_of_its_own_size_prints_as_in_all_eight(capsys, basis)
     ring = ambient_ring(spec, 8)
     V = span(ring, [ring.parse(b) for b in basis.split(";")])
     assert out == str(SchurContext(spec).schur_S((2, 1), V)) + "\n"
+
+
+def test_a_value_on_a_bare_space_that_is_not_generic(capsys):
+    # span(y, z) of the three-variable ring: the generic value, relabelled
+    code, out, err = run(capsys, "compute", "S", "--lambda", "2,1", "--basis", "y;z")
+    assert code == 0 and err == ""
+    spec = parse_field_spec("q=2")
+    ring = ambient_ring(spec, 3)
+    G = generic_space(spec, 2)
+    want = evaluate_morphism(SchurContext(spec).schur_S((2, 1), G), list(ring.gens()[1:]))
+    assert out == str(want) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

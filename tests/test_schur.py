@@ -3,13 +3,14 @@
 import pytest
 
 from qschur.errors import LengthTooLong, NotSubspace, ZeroVector
-from qschur import fmatrix
+from qschur import fmatrix, schur
 from qschur.gf import field_spec, parse_field_spec
 from qschur.partitions import delta, pad_and_add, part, partition, partitions_up_to_weight
 from qschur.ppoly import ambient_ring, evaluate_morphism, exact_div
 from qschur.schur import SchurContext
 from qschur.subspaces import (
     enumerate_lines,
+    generic_space,
     internal_quotient,
     pi_product,
     span,
@@ -57,10 +58,37 @@ def test_h_and_e_edges():
 
 
 def test_universal_value_worked():
-    ctx = SchurContext(field_spec(2))
-    u = ctx.universal_schur((1,), 2)
+    spec = field_spec(2)
+    ctx = SchurContext(spec)
+    u = ctx.schur_S((1,), generic_space(spec, 2))
     assert str(u) == "x^2 + x*y + y^2"
-    assert ctx.universal_schur((1,), 2) is u  # cached
+    assert ctx.schur_S((1,), generic_space(spec, 2)) is u  # cached
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_bare_space_that_is_not_generic_takes_the_window_routes(monkeypatch, q):
+    """On span(y, z) of the three-variable ring every value is the generic
+    value relabelled, and the one-row value climbs the window recursion
+    over cached one-column values: it forms no alternant quotient."""
+    spec = field_spec(q)
+    R = ambient_ring(spec, 3)
+    _, y, z = R.gens()
+    V = span(R, [y, z])
+    generic = SchurContext(spec)
+    G = generic_space(spec, 2)
+    assert V is not G
+    ctx = SchurContext(spec)
+    ctx.e_r(1, V), ctx.e_r(2, V)
+    divided = []
+    honest = schur.exact_div
+    monkeypatch.setattr(schur, "exact_div", lambda a, b: divided.append(a) or honest(a, b))
+    h3 = ctx.h_r(3, V)
+    assert divided == []
+    for lam in ((1,), (1, 1), (3,), (2, 1)):
+        want = evaluate_morphism(generic.schur_S(lam, G), [y, z])
+        assert ctx.schur_S(lam, V) == want, lam
+        assert str(ctx.schur_S(lam, V)) == str(want), lam
+    assert ctx.schur_S((3,), V) is h3
 
 
 def test_staircase_alternant_is_product_of_line_representatives():
@@ -90,7 +118,8 @@ def test_straight_cache_returns_same_object():
 def test_basis_independence_hand_case():
     ctx, R, V = make()
     x, y = R.gens()
-    pushed = evaluate_morphism(ctx.universal_schur((2, 1), 2), [x + y, y], target_ring=R)
+    G = generic_space(ctx.spec, 2)
+    pushed = evaluate_morphism(ctx.schur_S((2, 1), G), [x + y, y], target_ring=R)
     assert pushed == ctx.schur_S((2, 1), V)
 
 
@@ -119,8 +148,8 @@ def alternant_on(vectors, alpha, ring):
 def schur_direct(lam, V):
     """Straight value by dividing alternants formed on the basis itself.
 
-    Slower than schur_S but shares no code path with the universal
-    quotient, so the two serve as cross-checks on each other.
+    Slower than schur_S but shares no code path with SchurContext's
+    routes, so the two serve as cross-checks on each other.
     """
     lam = partition(lam)
     n = V.dim
@@ -141,7 +170,7 @@ def test_schur_direct_agrees_on_variable_basis():
 
 
 def test_dense_straight_value_is_the_cached_skew_value():
-    # off a bare-variable basis, S_lam(V) for a shape of two rows or more is
+    # off the generic space, S_lam(V) for a shape of two rows or more is
     # the skew value at mu = (), formed and held once
     ctx, R, _ = make(q=2, n=3)
     x, y, z = R.gens()
@@ -163,12 +192,13 @@ def test_schur_direct_agrees_on_twisted_basis():
 def reference_universal_skew(ctx, lam, mu, V, k):
     """(value, pushed): the skew value by the generic-ring route.
 
-    The twisted k x k determinant is formed over the universal one-row
-    quotients in the n-variable ambient ring and then substituted onto V's
-    basis. Substitution refuses fractional exponents; twists sit at 1 - k or
-    above, so k - 1 Frobenius steps clear every denominator, and since
-    substitution commutes with Frobenius the result is pulled back by as
-    many steps. pushed tells whether that happened.
+    The twisted k x k determinant is formed over the one-row values on the
+    generic n-dimensional space, alternant quotients in the n-variable
+    ambient ring, and then substituted onto V's basis. Substitution refuses
+    fractional exponents; twists sit at 1 - k or above, so k - 1 Frobenius
+    steps clear every denominator, and since substitution commutes with
+    Frobenius the result is pulled back by as many steps. pushed tells
+    whether that happened.
     """
     n = V.dim
     ring = ambient_ring(ctx.spec, n)
@@ -177,7 +207,7 @@ def reference_universal_skew(ctx, lam, mu, V, k):
         # one-row values vanish on the zero space, as in schur_S
         if r < 0 or (r > 0 and n == 0):
             return ring.zero
-        return ring.one if r == 0 else ctx.universal_schur((r,), n)
+        return ring.one if r == 0 else ctx.schur_S((r,), generic_space(ctx.spec, n))
 
     rows = [[h(part(lam, i) - part(mu, j) - i + j).frobenius(part(mu, j) - j + 1)
              for j in range(1, k + 1)] for i in range(1, k + 1)]

@@ -27,6 +27,7 @@ from qschur.subspaces import (
     enumerate_lines,
     enumerate_subspaces,
     enumerate_vectors,
+    generic_space,
     get_enumeration_ceiling,
     internal_quotient,
     pi_product,
@@ -667,3 +668,13 @@ def test_global_ceiling_applies_where_none_is_given(set_ceiling):
     assert len(enumerate_subspaces(V)) == 374
     set_ceiling(DEFAULT_ENUMERATION_CEILING)
     assert len(enumerate_subspaces(V)) == 374
+
+
+@pytest.mark.parametrize("ftext", ["q=2", "q=3", "q=2^2"])
+def test_generic_space_is_the_span_of_the_first_variables(ftext):
+    spec = parse_field_spec(ftext)
+    for n in range(4):
+        R = ambient_ring(spec, max(n, 1))
+        G = generic_space(spec, n)
+        assert G is span(R, R.gens()[:n]), n
+        assert G.dim == n and G.ring is R

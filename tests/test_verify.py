@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from qschur import verify
+from qschur import schur, verify
 from qschur.errors import (
     ConfigInvalid,
     HypothesisViolated,
@@ -16,7 +16,7 @@ from qschur.errors import (
     WindowInvalid,
 )
 from qschur.gf import field_spec, parse_field_spec
-from qschur.partitions import weight
+from qschur.partitions import pad_and_add, weight
 from qschur.ppoly import ambient_ring, get_term_limit, set_term_limit
 from qschur.schur import SchurContext
 from qschur.subspaces import (
@@ -24,6 +24,7 @@ from qschur.subspaces import (
     Subspace,
     enumerate_flags,
     enumerate_lines,
+    generic_space,
     get_enumeration_ceiling,
     internal_quotient,
     span,
@@ -432,20 +433,23 @@ def test_mutation_is_caught():
 
 
 def test_straight_recursion_catches_a_corrupted_universal_value(monkeypatch):
-    """On a bare basis the value on V is the universal quotient itself, so
-    adding one to that quotient breaks the line sum."""
+    """On the generic space the value on V is the alternant quotient itself,
+    so adding one to that quotient breaks the line sum."""
     spec, ctx, R, V = make()
-    assert check_straight_recursion(SchurContext(spec), (2,), V).status == "pass"
-    honest = ctx.universal_schur
+    assert V is generic_space(spec, V.dim)
+    clean = SchurContext(spec)
+    assert check_straight_recursion(clean, (2,), V).status == "pass"
+    top = ctx.alternant(pad_and_add((2,), V.dim), V.dim)
+    honest = schur.exact_div
 
-    def corrupted(lam, n):
-        value = honest(lam, n)
-        return value + value.ring.one if (lam, n) == ((2,), V.dim) else value
+    def corrupted(a, b):
+        value = honest(a, b)
+        return value + value.ring.one if a == top else value
 
-    monkeypatch.setattr(ctx, "universal_schur", corrupted)
+    monkeypatch.setattr(schur, "exact_div", corrupted)
     rep = check_straight_recursion(ctx, (2,), V)
     assert rep.status == "fail"
-    assert rep.lhs == str(honest((2,), V.dim) + R.one)
+    assert rep.lhs == str(clean.schur_S((2,), V) + R.one)
 
 
 def test_straight_recursion_catches_one_corrupted_quotient_value(monkeypatch):
@@ -789,8 +793,9 @@ TABLE_CFG = dict(fields=("q=2",), min_dim=0, max_dim=2, max_weight=1, trials=1)
 
 def test_each_swept_space_lives_in_the_ring_of_its_own_size(monkeypatch):
     """Every dimension row gets V = span of all variables of the
-    max(n, 1)-variable ambient ring; per-field rows get (cfg, ctx) alone;
-    functoriality draws its family in the max(max_dim, 1)-variable ring."""
+    max(n, 1)-variable ambient ring, and a context of that dimension's own;
+    per-field rows get (cfg, ctx) alone, with one more context; functoriality
+    draws its family in the max(max_dim, 1)-variable ring."""
     from dataclasses import replace
 
     seen, per_field, functoriality_rings = [], [], []
@@ -799,10 +804,10 @@ def test_each_swept_space_lives_in_the_ring_of_its_own_size(monkeypatch):
         def cases(cfg, ctx, *rest):
             if row.per_field:
                 assert rest == ()
-                per_field.append((row.names, ctx.spec.q))
+                per_field.append((row.names, ctx.spec.q, ctx))
             else:
                 (V,) = rest
-                seen.append((row.names, ctx.spec, V))
+                seen.append((row.names, ctx.spec, V, ctx))
             return row.cases(cfg, ctx, *rest)
         return replace(row, cases=cases)
 
@@ -817,11 +822,18 @@ def test_each_swept_space_lives_in_the_ring_of_its_own_size(monkeypatch):
     report = run_sweep(SweepConfig(fields=("q=2", "q=3"), min_dim=0, max_dim=3,
                                    max_weight=1, trials=1))
     assert report["aggregate"]["failed"] == 0
-    assert {V.dim for _, _, V in seen} == {0, 1, 2, 3}
-    for names, spec, V in seen:
+    assert {V.dim for _, _, V, _ in seen} == {0, 1, 2, 3}
+    for names, spec, V, _ in seen:
         ring = ambient_ring(spec, max(V.dim, 1))
         assert V.ring is ring and V.basis == ring.gens()[:V.dim], (names, V.dim)
+        assert V is generic_space(spec, V.dim)
     assert len(per_field) == 2 * sum(row.per_field for row in verify.IDENTITIES)
+    contexts = {(spec.q, V.dim): ctx for _, spec, V, ctx in seen}
+    assert all(ctx is contexts[spec.q, V.dim] for _, spec, V, ctx in seen)
+    field_contexts = {q: ctx for _, q, ctx in per_field}
+    assert all(ctx is field_contexts[q] for _, q, ctx in per_field)
+    every = list(contexts.values()) + list(field_contexts.values())
+    assert len({id(ctx) for ctx in every}) == len(every) == 10
     assert functoriality_rings
     assert all(ring is ambient_ring(spec, 3) for spec, ring in functoriality_rings)
 
