@@ -220,11 +220,7 @@ def window_of(m: TriangularZMatrix, lo: int, hi: int) -> PolyMatrix:
     if lo > hi:
         raise WindowInvalid(f"window [{lo}, {hi}] is empty")
     m.audit_window(lo, hi)
-    return PolyMatrix(
-        m.ring,
-        [[m.entry_fn(i, j) if i <= j else m.ring.zero for j in range(lo, hi + 1)]
-         for i in range(lo, hi + 1)],
-    )
+    return sub_minor(m, range(lo, hi + 1), range(lo, hi + 1))
 
 
 def sub_minor(

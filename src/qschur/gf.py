@@ -43,45 +43,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num by den over F_p; den must be nonzero, coeffs low-to-high."""
-    num = [c % p for c in num]
-    dd = len(den) - 1
-    while len(den) > 1 and den[-1] % p == 0:
-        den = den[:-1]
-        dd -= 1
-    lead_inv = pow(den[-1], -1, p)
-    while len(num) >= len(den) and any(num):
-        while num and num[-1] % p == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        factor = (num[-1] * lead_inv) % p
-        for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - factor * c) % p
-    while num and num[-1] % p == 0:
-        num.pop()
-    return num
-
-
-def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Exhaustive search for a monic factor of degree 1..e//2."""
-    e = len(modulus) - 1
-    for deg in range(1, e // 2 + 1):
-        # Every monic polynomial of this degree over F_p.
-        for code in range(p**deg):
-            cand = []
-            c = code
-            for _ in range(deg):
-                cand.append(c % p)
-                c //= p
-            cand.append(1)
-            if not _poly_rem(list(modulus), cand, p):
-                return False
-    return True
-
-
 class FieldElement:
     """One interned element of a FieldSpec; arithmetic via the spec tables."""
 
@@ -239,10 +200,6 @@ class FieldSpec:
                 )
             if modulus[-1] != 1:
                 raise InvalidFieldSpec("modulus must be monic")
-            if not _is_irreducible(modulus, p):
-                raise InvalidFieldSpec(
-                    f"modulus {list(modulus)} is reducible over F_{p}"
-                )
         self.p = p
         self.e = e
         self.q = q
@@ -281,22 +238,22 @@ class FieldSpec:
             for j in range(q):
                 b = coords[j]
                 row_a.append(index_of[tuple((x + y) % p for x, y in zip(a, b))])
-                if e == 1:
-                    row_m.append((i * j) % p)
-                else:
-                    row_m.append(index_of[reduce_mul(a, b)])
+                row_m.append(index_of[reduce_mul(a, b)])
             add_t.append(tuple(row_a))
             mul_t.append(tuple(row_m))
         self.add_table = tuple(add_t)
         self.mul_table = tuple(mul_t)
         self.neg_table = tuple(neg_t)
 
-        inv_t = [0] * q
-        for i in range(1, q):
-            for j in range(1, q):
-                if self.mul_table[i][j] == 1:
-                    inv_t[i] = j
-                    break
+        # F_p[t]/(m) is a field (m irreducible) exactly when every nonzero
+        # row of this finite ring's multiplication table holds a 1
+        inv_t = [0]
+        for row in mul_t[1:]:
+            if 1 not in row:
+                raise InvalidFieldSpec(
+                    f"modulus {list(modulus)} is reducible over F_{p}"
+                )
+            inv_t.append(row.index(1))
         self.inv_table = tuple(inv_t)
 
         self.elements = tuple(FieldElement(self, i) for i in range(q))

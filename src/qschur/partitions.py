@@ -84,26 +84,11 @@ def decrement_all(lam: Partition, n: int) -> Partition:
 def vertical_strip_subpartitions(lam: Partition) -> list[Partition]:
     """All nu inside lam with lam/nu a vertical strip, largest weight first.
 
-    Ordered by descending weight, then ascending lexicographic order of the
-    part tuples.
+    lam/nu is a vertical strip exactly when nu lies between lam less one
+    cell in each row and lam, so this is that interval, in the order of
+    subpartitions_between.
     """
-    out = []
-    k = len(lam)
-
-    def build(i: int, acc: list[int]):
-        if i == k:
-            out.append(partition(acc))
-            return
-        hi = lam[i]
-        lo = max(hi - 1, 0)
-        bound = acc[-1] if acc else None
-        for v in (hi, lo) if hi != lo else (hi,):
-            if bound is None or v <= bound:
-                build(i + 1, acc + [v])
-
-    build(0, [])
-    out.sort(key=lambda nu: (-sum(nu), nu))
-    return out
+    return subpartitions_between(tuple(p - 1 for p in lam if p > 1), lam)
 
 
 def q_exponent(lam: Partition, nu: Partition, n: int, q: int) -> int:
@@ -198,7 +183,7 @@ def partitions_up_to_weight(max_weight: int, max_length: int | None = None) -> l
 
 
 def subpartitions_between(mu: Partition, lam: Partition) -> list[Partition]:
-    """All partitions nu with mu inside nu inside lam, in deterministic order."""
+    """All nu with mu inside nu inside lam, heaviest first, then lexicographically."""
     if not contains(lam, mu):
         return []
     k = len(lam)

@@ -137,6 +137,14 @@ def test_exit_code_2_on_bad_field(capsys):
     assert "error:" in err
 
 
+def test_exit_code_2_on_reducible_modulus(capsys):
+    code, out, err = run(capsys, "compute", "S", "--lambda", "1",
+                         "--field", "q=2^2:1,0,1", "--basis", "x")
+    assert code == 2
+    assert out == ""
+    assert err == "error: modulus [1, 0, 1] is reducible over F_2\n"
+
+
 def test_exit_code_2_on_unknown_flag(capsys):
     code = main(["compute", "S", "--wat", "1"])
     capsys.readouterr()

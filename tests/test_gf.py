@@ -1,9 +1,14 @@
 """Finite-field layer: specs, element arithmetic, power sums."""
 
+import itertools
+
 import pytest
+import sympy
 
 from qschur.errors import InvalidFieldSpec, PolyParseError
 from qschur.gf import (
+    Q_CEILING,
+    FieldSpec,
     field_enumerate,
     field_spec,
     parse_field_spec,
@@ -109,6 +114,27 @@ def test_rejects_bad_specs():
         parse_field_spec("q=3:1,1")  # prime fields carry no modulus
     with pytest.raises(InvalidFieldSpec):
         field_spec(2, 2, modulus=(1, 0, 1))  # t^2+1 is reducible mod 2
+
+
+@pytest.mark.parametrize("p, e", [
+    (p, e) for p in (2, 3, 5, 7) for e in range(2, 7) if p**e <= Q_CEILING
+])
+def test_every_modulus_is_accepted_exactly_when_irreducible(p, e):
+    # sympy's irreducibility test is the oracle; the spec decides from its
+    # own multiplication table
+    t = sympy.Symbol("t")
+    for low in itertools.product(range(p), repeat=e):
+        modulus = low + (1,)
+        irreducible = sympy.Poly(modulus[::-1], t, modulus=p).is_irreducible
+        if irreducible:
+            spec = FieldSpec(p, e, modulus)
+            assert all(
+                spec.mul_table[a][spec.inv_table[a]] == 1 for a in range(1, spec.q)
+            ), modulus
+        else:
+            with pytest.raises(InvalidFieldSpec) as err:
+                FieldSpec(p, e, modulus)
+            assert str(err.value) == f"modulus {list(modulus)} is reducible over F_{p}"
 
 
 def test_element_hash_and_eq_cross_spec():

@@ -62,6 +62,18 @@ def test_vertical_strips():
     assert is_vertical_strip((2, 2), (1, 1))
 
 
+def test_vertical_strips_match_brute_force():
+    # the reference filters every partition by is_vertical_strip and does
+    # not go through subpartitions_between
+    for lam in partitions_up_to_weight(8):
+        want = sorted(
+            (nu for nu in partitions_up_to_weight(weight(lam), len(lam))
+             if is_vertical_strip(lam, nu)),
+            key=lambda nu: (-weight(nu), nu),
+        )
+        assert vertical_strip_subpartitions(lam) == want, lam
+
+
 def test_subpartitions_between():
     got = subpartitions_between((1,), (2, 1))
     assert sorted(got) == [(1,), (1, 1), (2,), (2, 1)]
