@@ -36,7 +36,9 @@ as a Poly; a single product is the one-triple case of that sum. A product
 with a one-term operand seeds an empty accumulator in one pass (a unit
 product copies the other operand's terms); otherwise the one loop of the
 accumulator takes the one-term operand first. Exact division (exact_div)
-is a heap division whose heap entries carry their quotient terms. Outside
+is a divisor-heap division: one pending product per divisor term, the
+second divisor term's held outside the heap, and only the quotient terms
+some divisor term has yet to meet kept in a linked list. Outside
 this module monomials are (vector, shift) pairs, passed from
 leading_monomial() to coeff_of() and PolyRing.key(); coeff_at_leading()
 looks one polynomial's leading monomial up in another and keeps it a key
@@ -799,16 +801,22 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     """Quotient a / b; raises NotDivisible, or TermLimitExceeded when the
     quotient would pass the term limit.
 
-    Heap division after Monagan and Pearce ("Sparse polynomial division
-    using a heap", J. Symb. Comput. 46, 2011): the remainder is never
-    formed. Its next term is the larger of the next term of a and the top of
-    a heap of pending products q_i * b_j, which holds at most one product
-    per quotient term. A heap entry (-key, j, key of q_i, multiplication
-    row of q_i's coefficient) carries its quotient term, so each quotient
-    term goes straight into the output dict, leading term first, and no
-    list is kept per quotient term. Products with equal keys are not merged
-    in the heap; they are popped together and summed, and a sum that
-    cancels leaves nothing behind.
+    Divisor-heap division after Monagan and Pearce ("Sparse polynomial
+    division using a heap", J. Symb. Comput. 46, 2011): the remainder is
+    never formed. Write b = b_0 + b_1 + ... + b_k in descending order. Each
+    b_j with j >= 1 has one pending product q_i * b_j at a time, with the
+    oldest quotient term q_i it has not yet met; once it meets the newest,
+    it waits, and the next quotient term starts its products again. The
+    remainder's next term is the largest of the next term of a, b_1's
+    pending product and the top of a heap of the other pending products,
+    so the heap holds at most k - 1 entries. b_1's product is held in local
+    variables and never enters the heap: its q_i is never newer than a new
+    quotient term q_new, so q_i * b_1 > q_new * b_j for j >= 2 and no new
+    product overtakes it. A two-term divisor never touches the heap. The quotient terms form a linked list,
+    oldest first, that the pending products point into, so a quotient term
+    that every b_j has passed is freed at once. Products with equal keys
+    are summed as they are taken, and a sum that cancels leaves nothing
+    behind.
     """
     if a.ring != b.ring:
         raise RingMismatch("exact_div operands in different rings")
@@ -826,33 +834,49 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     mul_t = spec.mul_table
     limit = _term_limit
     a_keys = sorted(ta, reverse=True)
-    na = len(a_keys)
+    a_keys.append(-1)  # below every key
     b_keys = sorted(tb, reverse=True)
     b_lead = b_keys[0]
     b_inv = spec.inv_table[tb[b_lead]]
     neg = spec.neg_table
-    # the divisor's other terms, with negated coefficient indices
-    b_rest = [(k, neg[tb[k]]) for k in b_keys[1:]]
-    nb = len(b_rest)
+    # b_1 and the heap's divisor terms b_2.., with negated coefficient indices
+    has_b1 = len(b_keys) > 1
+    k1, c1 = (b_keys[1], neg[tb[b_keys[1]]]) if has_b1 else (0, 0)
+    bk = b_keys[2:]
+    bc = [neg[tb[k]] for k in bk]
     out: dict = {}
-    heap: list = []  # (-key, j, quotient key, its row of mul_t): the product q * b_rest[j]
+    # A quotient term is a node [key, its row of mul_t, next node or None].
+    heap: list = []  # (-key, j, node): the product of node's term and bk[j]
+    waiting = list(range(len(bk)))  # the bk[j] whose next product is with the next quotient term
+    hk, hn = -1, None  # b_1's pending product: its key (-1 when none) and node
+    tail = [0, 0, None]  # the newest node
     ai = 0
-    while ai < na or heap:
-        m = a_keys[ai] if ai < na else -1
-        if heap and -heap[0][0] >= m:
+    ak = a_keys[0]  # the dividend's next key
+    while True:
+        m = ak if ak > hk else hk
+        if heap and -heap[0][0] > m:
             m = -heap[0][0]
-        c = 0
-        if ai < na and a_keys[ai] == m:
+        if m < 0:
+            break
+        if ak == m:
             c = ta[m]
             ai += 1
+            ak = a_keys[ai]
+        else:
+            c = 0
+        if hk == m:
+            c = add_t[c][hn[1][c1]]
+            hn = hn[2]
+            hk = -1 if hn is None else hn[0] + k1
         while heap and heap[0][0] == -m:
-            _, j, qk, row = heap[0]
-            c = add_t[c][row[b_rest[j][1]]]
-            j += 1
-            if j < nb:
-                heapreplace(heap, (-(qk + b_rest[j][0]), j, qk, row))
-            else:
+            _, j, node = heap[0]
+            c = add_t[c][node[1][bc[j]]]
+            node = node[2]
+            if node is None:
                 heappop(heap)
+                waiting.append(j)
+            else:
+                heapreplace(heap, (-(node[0] + bk[j]), j, node))
         if not c:
             continue
         qk = m - b_lead
@@ -866,8 +890,13 @@ def exact_div(a: Poly, b: Poly) -> Poly:
         if len(out) == limit:
             raise _over_limit("quotient", limit + 1)
         qc = out[qk] = mul_t[c][b_inv]
-        if nb:
-            heappush(heap, (-(qk + b_rest[0][0]), 0, qk, mul_t[qc]))
+        tail[2] = tail = [qk, mul_t[qc], None]  # link the new node, then move the tail to it
+        if hn is None and has_b1:
+            hk, hn = qk + k1, tail
+        if waiting:
+            for j in waiting:
+                heappush(heap, (-(qk + bk[j]), j, tail))
+            waiting.clear()
     return _poly(ring, out, d, w, next(iter(out)))
 
 

@@ -784,6 +784,138 @@ def test_only_a_lower_field_borrows():
     assert exact_div(x**2 * y**big, x**2) == y**big
 
 
+# Division against the reference loop -----------------------------------------
+
+DIVISION_FIELDS = ["q=2", "q=3", "q=2^2", "q=5", "q=3^2"]
+
+
+def alternant(ring, exps):
+    """det(x_i^(q^e_j)) over ring's variables; a_delta at exps = delta."""
+    return det(PolyMatrix(ring, [[g.frobenius(e) for e in exps] for g in ring.gens()]))
+
+
+@st.composite
+def divisors(draw, ring):
+    """A divisor of one, two, or three to six terms, or (n >= 2) the
+    staircase alternant of ring's variables."""
+    n, spec = ring.nvars, ring.spec
+    sizes = [(1, 1), (2, 2), (3, 6)] + ([None] if n > 1 else [])
+    size = draw(st.sampled_from(sizes))
+    if size is None:
+        return alternant(ring, range(n - 1, -1, -1))
+    vecs = draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=size[0], max_size=size[1], unique=True))
+    return ring.from_terms([(v, spec.elements[draw(st.integers(1, spec.q - 1))]) for v in vecs])
+
+
+@pytest.mark.parametrize("ftext", DIVISION_FIELDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@given(data=st.data(), i=st.integers(0, 1), j=st.integers(0, 1))
+def test_exact_div_matches_the_reference_loop(ftext, n, data, i, j):
+    """b * c + r over b, at shifts i and j, against repeated leading-term
+    cancellation: the same quotient, or NotDivisible from both. A cofactor
+    equal to the divisor makes a dividend term, the held product and heap
+    entries meet on one key."""
+    R = field_ring(ftext, n)
+    b = data.draw(divisors(R))
+    c = b if data.draw(st.booleans()) else data.draw(polys(R, max_exp=3))
+    b, c = b.frobenius(-i), c.frobenius(-j)
+    # r has small exponents, so a failing division stops within a few steps
+    r = data.draw(st.one_of(st.just(R.zero), polys(R, max_terms=2, max_exp=2)))
+    a = b * c + r
+    try:
+        want = ref_exact_div(a, b)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            exact_div(a, b)
+    else:
+        got = exact_div(a, b)
+        agree(got, want)
+        if not r.terms:
+            assert got == c
+
+
+@pytest.mark.parametrize("ftext", DIVISION_FIELDS)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exact_div_of_staircase_multiples(ftext, n):
+    """a_delta times a_delta and times a dense cofactor over a_delta, and
+    at n <= 3 the alternant quotient H_1 = a_(delta + (1)) / a_delta (at
+    n = 4 it has up to 99,964 terms, too many for the reference loop): the
+    quotients agree with the reference."""
+    R = field_ring(ftext, n)
+    b = alternant(R, range(n - 1, -1, -1))
+    gens = R.gens()
+    dense = sum(gens, R.one) * sum((g * h for g in gens for h in gens), R.zero)
+    cases = [b * b, b * dense]
+    if n <= 3:
+        cases.append(alternant(R, [n, *range(n - 2, -1, -1)]))  # delta + (1)
+    for a in cases:
+        agree(exact_div(a, b), ref_exact_div(a, b))
+    assert exact_div(b * dense, b) == dense
+
+
+@pytest.mark.parametrize("ftext", DIVISION_FIELDS)
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_exact_div_sums_every_source_of_one_key(ftext, k):
+    """In b^2 / b with b = x^2 + x*y + y^2, in every field here, some
+    remainder key collects a dividend term, the held product and a heap
+    entry at once; b^k / b and b^k (x + y) / b for k <= 4 are checked too."""
+    R = field_ring(ftext)
+    b = R.parse("x^2 + x*y + y^2")
+    for a in (b**k, b**k * R.parse("x + y")):
+        agree(exact_div(a, b), ref_exact_div(a, b))
+    assert exact_div(b**k, b) == b ** (k - 1)
+
+
+# b * c^k + r over b: the quotient's size, or what NotDivisible or
+# TermLimitExceeded said, at the default term limit and at limits 3 and 10.
+# Recorded from the quotient-heap loop that the divisor heap replaced.
+D3 = "x^9*y^3*z + 2*x^9*y*z^3 + 2*x^3*y^9*z + x^3*y*z^9 + x*y^9*z^3 + 2*x*y^3*z^9"
+ND = "NotDivisible: leading term {} is not divisible by the divisor's leading term"
+OVER = "TermLimitExceeded: quotient holds {} terms, over the limit {}"
+PINNED_DIVISIONS = [
+    # (field, n, b, c, k, r, (default limit, limit 3, limit 10))
+    ("q=3", 2, "x + y", "x + 2*y", 4, "x^3*y^2 + x*y",
+     (ND.format("2*y^5"), OVER.format(4, 3), ND.format("2*y^5"))),
+    ("q=2", 3, "x + y + z", "x + y*z + 1", 3, "x*z^3 + x*y",
+     (ND.format("y*z^3"), OVER.format(4, 3), ND.format("y*z^3"))),
+    ("q=5", 2, "x^5*y + 4*x*y^5", "x + 2*y", 6, "x^2*y^7 + x*y",
+     (ND.format("x^2*y^7"), OVER.format(4, 3), ND.format("x^2*y^7"))),
+    ("q=2^2", 2, "x^1/4 + y^1/4", "x + [0,1]*y^1/4", 3, "x^5/4*y^3/4",
+     (ND.format("y^2"), OVER.format(4, 3), ND.format("y^2"))),
+    ("q=3", 2, "x^3*y + 2*x*y^3", "x^4 + y^4", 1, "x^2*y^5",
+     (ND.format("x^2*y^5"), ND.format("x^2*y^5"), ND.format("x^2*y^5"))),
+    ("q=3^2", 2, "x^9*y + [2,0]*x*y^9", "[1,1]*x + y^2", 4, "x^11 + x^2",
+     (ND.format("x^11"), OVER.format(4, 3), ND.format("x^11"))),
+    ("q=3", 3, D3, "x + y + 2*z", 4, "x^4*y^5 + x*y^4",
+     (ND.format("x^4*y^5"), OVER.format(4, 3), ND.format("x^4*y^5"))),
+    ("q=2", 4, "x + y + z + w", "x*y + z*w + 1", 3, "x^2*w^3 + y*z*w^2",
+     (ND.format("y^2*w^3"), OVER.format(4, 3), ND.format("y^2*w^3"))),
+    ("q=2", 2, "x + y", "x + y + 1", 7, "0", (27, OVER.format(4, 3), OVER.format(11, 10))),
+    ("q=3", 2, "x^3*y + 2*x*y^3", "x + y", 20, "0", (9, OVER.format(4, 3), 9)),
+    ("q=2^2", 2, "x + y", "x + [0,1]*y", 15, "0", (16, OVER.format(4, 3), OVER.format(11, 10))),
+    ("q=3", 3, D3, "x + y + z + 1", 5, "0", (40, OVER.format(4, 3), OVER.format(11, 10))),
+]
+
+
+@pytest.mark.parametrize("ftext, n, b, c, k, r, outcomes", PINNED_DIVISIONS)
+def test_exact_div_outcomes_are_pinned(ftext, n, b, c, k, r, outcomes):
+    R = field_ring(ftext, n)
+    B = R.parse(b)
+    A = B * R.parse(c) ** k + R.parse(r)
+    saved = get_term_limit()
+    seen = []
+    try:
+        for limit in (saved, 3, 10):
+            set_term_limit(limit)
+            try:
+                seen.append(len(exact_div(A, B).terms))
+            except (NotDivisible, TermLimitExceeded) as e:
+                seen.append(f"{type(e).__name__}: {e}")
+    finally:
+        set_term_limit(saved)
+    assert tuple(seen) == outcomes
+
+
 # The fused sum of products against the plain loop it replaces ---------------
 
 def naive_sum_of_products(ring, triples):

@@ -46,6 +46,23 @@ def test_one_row_values_on_a_line():
             assert ctx.h_r(r, line) == x ** (q**r - 1)
 
 
+CLOSED_FORM_CASES = [(f, r) for f in ("q=2", "q=3", "q=2^2", "q=5", "q=3^2") for r in range(1, 7)]
+
+
+@pytest.mark.parametrize("ftext, r", CLOSED_FORM_CASES + [("q=3", 10)])
+def test_one_row_values_on_the_generic_plane_have_the_closed_form(ftext, r):
+    """H_r on span(x, y), the alternant quotient a_((r) + delta) / a_delta,
+    is sum_{k<N} x^((q-1)(N-1-k)) y^((q-1)k) with N = (q^(r+1) - 1)/(q - 1).
+    At q=3, r=10 that is the 88,573-term value of the dense window."""
+    spec = parse_field_spec(ftext)
+    q = spec.q
+    G = generic_space(spec, 2)
+    N = (q ** (r + 1) - 1) // (q - 1)
+    want = G.ring.from_terms((((q - 1) * (N - 1 - k), (q - 1) * k), spec.one) for k in range(N))
+    assert len(want.terms) == N
+    assert SchurContext(spec).h_r(r, G) == want
+
+
 def test_h_and_e_edges():
     ctx, R, V = make()
     assert ctx.h_r(-1, V).is_zero()
