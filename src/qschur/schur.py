@@ -25,8 +25,8 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
-from . import fmatrix, partitions, subspaces
-from .errors import LengthTooLong, NotSubspace, ZeroVector
+from . import fmatrix, partitions
+from .errors import LengthTooLong
 from .gf import FieldSpec
 from .partitions import Partition
 from .ppoly import Poly, ambient_ring, evaluate_morphism, exact_div, sum_of_products
@@ -80,8 +80,11 @@ class SchurContext:
       recursion rather than substitution;
     - flag-formula: S_lam(V) against products of H_r on the steps of every
       complete flag;
-    - pieri, coproduct, coproduct-truncation: skew values on a quotient
-      against expansions in skew values on V and tilde values on U;
+    - pieri: the skew value on V // span(ell) against the vertical-strip
+      expansion in powers of ell and skew values on V;
+    - coproduct: the skew value on V // U against the signed addends
+      S_(nu/mu)(V) phi^m tilde_S_(lam/nu)(U) summed over nu between mu and
+      lam; coproduct-truncation: one addend at a nu outside, against zero;
     - he-inverse: the product of the E_r array and the H_r array, both
       alternant quotients of different shapes on the generic space,
       against the identity. This is the lemma that H and E are
@@ -96,10 +99,11 @@ class SchurContext:
     - h-factorization: the H_r array of V, from the alternant, against the
       product of those of V // U and U, formed the same way; on the lines
       among U and V // U the H_r come from the window recursion;
-    - hook-step, full-column-reduction: values against pi(U) times values of
-      smaller shapes; hook-step's values on lines other than the generic
-      line come from the window recursion, pi(L) from the coefficient of t
-      in f_L;
+    - hook-step: -H_r(U) on a line U against pi(U) phi(H_(r-1)(U)); its
+      values on lines other than the generic line come from the window
+      recursion, pi(U) from the coefficient of t in f_U;
+    - full-column-reduction: S_lam(V), lam filling every row of V, against
+      (-1)^n pi(V) times the q-th power of S at lam less its first column;
     - gl-invariance, functoriality: schur_S against the generic value
       pushed onto a random basis of V, and onto a random family; these
       carry the claim that substitution commutes with taking values;
@@ -165,6 +169,11 @@ class SchurContext:
             return evaluate_morphism(self.schur_S(lam, G), list(V.basis))
         if len(lam) == 1:
             r = lam[0]
+            # cache H_1..H_(r-1) from the bottom, so no call nests r deep;
+            # a cached H_(r-1) was climbed to the same way
+            if ((r - 1,), V) not in self._straight:
+                for s in range(1, r):
+                    self.h_r(s, V)
             return sum_of_products(V.ring, [
                 (self.spec.sign(j + 1), self.schur_S((1,) * j, V).frobenius(r - 1),
                  self.h_r(r - j, V))
@@ -238,60 +247,3 @@ class SchurContext:
             V.ring, lambda d: self.e_r(d, V).frobenius(d).scale(sign(d)), 0,
             tag=f"E[{V.describe()}]",
         )
-
-    # Expansions -----------------------------------------------------------
-
-    def coproduct_expand(self, lam: Partition, mu: Partition, V: Subspace, U: Subspace) -> Poly:
-        """Expansion of the skew value on V // U through values on V and U.
-
-        Sum over nu between mu and lam of
-        (-1)^(|lam| - |nu|) S_(nu/mu)(V) phi^m tilde_S_(lam/nu)(U), with
-        m = dim V - dim U. It equals skew_S(lam, mu, V // U).
-        """
-        lam = partitions.partition(lam)
-        mu = partitions.partition(mu)
-        if not V.contains(U):
-            raise NotSubspace("coproduct expansion requires U <= V")
-        m = V.dim - U.dim
-        spec = self.spec
-        return sum_of_products(V.ring, [
-            (spec.sign(partitions.weight(lam) - partitions.weight(nu)),
-             self.skew_S(nu, mu, V), self.tilde_S(lam, nu, U).frobenius(m))
-            for nu in partitions.subpartitions_between(mu, lam)
-        ])
-
-    def pieri_expand(self, lam: Partition, mu: Partition, V: Subspace, ell: Poly) -> Poly:
-        """Vertical-strip expansion of the skew value on V // span(ell).
-
-        Sum over nu with lam/nu a vertical strip of
-        (-1)^(|lam| - |nu|) ell^(twist exponent) S_(nu/mu)(V).
-        Requires ell a nonzero vector of V and len(lam), len(mu) < dim V.
-        """
-        lam = partitions.partition(lam)
-        mu = partitions.partition(mu)
-        if not ell.terms:
-            raise ZeroVector("expansion direction must be nonzero")
-        n = V.dim
-        if len(lam) >= n or len(mu) >= n:
-            raise LengthTooLong(
-                f"shape lengths {len(lam)}, {len(mu)} must be below dim V = {n}"
-            )
-        if not V.contains_vector(ell):
-            raise NotSubspace("expansion direction must lie in V")
-        spec = self.spec
-        return sum_of_products(V.ring, [
-            (spec.sign(partitions.weight(lam) - partitions.weight(nu)),
-             ell ** partitions.q_exponent(lam, nu, n, spec.q), self.skew_S(nu, mu, V))
-            for nu in partitions.vertical_strip_subpartitions(lam)
-        ])
-
-    def fullhouse_reduce(self, lam: Partition, V: Subspace) -> Poly:
-        """For a shape filling every row of V: S_lam(V) rewritten as
-        (-1)^n pi(V) times the q-th power of the shrunken straight value."""
-        lam = partitions.partition(lam)
-        n = V.dim
-        reduced = partitions.decrement_all(lam, n)
-        q = self.spec.q
-        return (
-            subspaces.pi_product(V) * self.schur_S(reduced, V) ** q
-        ).scale(self.spec.sign(n))

@@ -21,10 +21,12 @@ from . import fmatrix, partitions, subspaces
 from .errors import (
     ConfigInvalid,
     HypothesisViolated,
+    LengthTooLong,
     NotALine,
     NotDivisible,
     NotSubspace,
     QschurError,
+    ZeroVector,
 )
 from .gf import FieldSpec, parse_field_spec, power_sum
 from .partitions import partitions_up_to_weight
@@ -36,6 +38,7 @@ from .ppoly import (
     evaluate_morphism,
     exact_div,
     get_term_limit,
+    sum_of_products,
 )
 from .schur import SchurContext
 from .subspaces import (
@@ -165,24 +168,49 @@ def check_flag_formula(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
 
 
 def check_pieri(ctx: SchurContext, lam, mu, V: Subspace, ell: Poly) -> CaseReport:
-    """The vertical-strip expansion along ell equals the skew value on the
-    quotient by span(ell)."""
+    """The skew value on the quotient by span(ell) equals the vertical-strip
+    expansion along ell: the sum over nu with lam/nu a vertical strip of
+    (-1)^(|lam| - |nu|) ell^(twist exponent) S_(nu/mu)(V). Needs ell a
+    nonzero vector of V and len(lam), len(mu) < dim V."""
     t0 = time.perf_counter()
     lam = partitions.partition(lam)
     mu = partitions.partition(mu)
-    L = span(V.ring, [ell])
-    lhs = ctx.skew_S(lam, mu, internal_quotient(V, L))
-    rhs = ctx.pieri_expand(lam, mu, V, ell)
-    return _case("pieri", ctx.spec.q, V, lam, mu, t0, lhs == rhs, lhs, rhs)
+    if not ell.terms:
+        raise ZeroVector("expansion direction must be nonzero")
+    n = V.dim
+    if len(lam) >= n or len(mu) >= n:
+        raise LengthTooLong(f"shape lengths {len(lam)}, {len(mu)} must be below dim V = {n}")
+    if not V.contains_vector(ell):
+        raise NotSubspace("expansion direction must lie in V")
+    spec = ctx.spec
+    lhs = ctx.skew_S(lam, mu, internal_quotient(V, span(V.ring, [ell])))
+    rhs = sum_of_products(V.ring, [
+        (spec.sign(partitions.weight(lam) - partitions.weight(nu)),
+         ell ** partitions.q_exponent(lam, nu, n, spec.q), ctx.skew_S(nu, mu, V))
+        for nu in partitions.vertical_strip_subpartitions(lam)
+    ])
+    return _case("pieri", spec.q, V, lam, mu, t0, lhs == rhs, lhs, rhs)
+
+
+def _coproduct_addend(ctx: SchurContext, lam, mu, nu, V: Subspace, U: Subspace) -> tuple:
+    """The coproduct addend (-1)^(|lam| - |nu|) S_(nu/mu)(V) phi^m
+    tilde_S_(lam/nu)(U), m = dim V - dim U, as a sum_of_products triple."""
+    return (ctx.spec.sign(partitions.weight(lam) - partitions.weight(nu)),
+            ctx.skew_S(nu, mu, V), ctx.tilde_S(lam, nu, U).frobenius(V.dim - U.dim))
 
 
 def check_coproduct(ctx: SchurContext, lam, mu, V: Subspace, U: Subspace) -> CaseReport:
-    """The signed two-factor expansion over intermediate shapes reconstructs
-    the skew value on V // U."""
+    """The skew value on V // U equals the sum of the coproduct addends over
+    nu between mu and lam. Needs U <= V."""
     t0 = time.perf_counter()
     lam = partitions.partition(lam)
     mu = partitions.partition(mu)
-    total = ctx.coproduct_expand(lam, mu, V, U)
+    if not V.contains(U):
+        raise NotSubspace("coproduct expansion requires U <= V")
+    total = sum_of_products(V.ring, [
+        _coproduct_addend(ctx, lam, mu, nu, V, U)
+        for nu in partitions.subpartitions_between(mu, lam)
+    ])
     lhs = ctx.skew_S(lam, mu, internal_quotient(V, U))
     return _case("coproduct", ctx.spec.q, V, lam, mu, t0, lhs == total, lhs, total)
 
@@ -375,11 +403,15 @@ def check_hook_step(ctx: SchurContext, U: Subspace, r: int) -> CaseReport:
 
 
 def check_full_column(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
+    """For a shape filling every row of V: S_lam(V) equals (-1)^n pi(V)
+    times the q-th power of the straight value at lam less its first column."""
     t0 = time.perf_counter()
     lam = partitions.partition(lam)
+    spec, n = ctx.spec, V.dim
     lhs = ctx.schur_S(lam, V)
-    rhs = ctx.fullhouse_reduce(lam, V)
-    return _case("full-column-reduction", ctx.spec.q, V, lam, (), t0, lhs == rhs, lhs, rhs)
+    reduced = ctx.schur_S(partitions.decrement_all(lam, n), V)
+    rhs = (subspaces.pi_product(V) * reduced ** spec.q).scale(spec.sign(n))
+    return _case("full-column-reduction", spec.q, V, lam, (), t0, lhs == rhs, lhs, rhs)
 
 
 # Elementary lemmas --------------------------------------------------------
@@ -669,8 +701,7 @@ def check_coproduct_truncation(ctx: SchurContext, lam, mu, nu, V: Subspace, U: S
     nu = partitions.partition(nu)
     if partitions.contains(lam, nu) and partitions.contains(nu, mu):
         raise ConfigInvalid(f"{nu} lies between {mu} and {lam}; pick an outside shape")
-    m = V.dim - U.dim
-    term = ctx.skew_S(nu, mu, V) * ctx.tilde_S(lam, nu, U).frobenius(m)
+    term = sum_of_products(V.ring, [_coproduct_addend(ctx, lam, mu, nu, V, U)])
     return _case("coproduct-truncation", ctx.spec.q, V, lam, mu, t0, term.is_zero(), term, "0",
                  basis=f"{V.describe()} // {U.describe()} at nu={nu}")
 
@@ -859,11 +890,15 @@ class SweepConfig:
                 f"max_dim {self.max_dim} is over {len(AMBIENT_NAMES)}, the most "
                 "variables an ambient ring has"
             )
+        seen = set()
         for text in self.fields:
             try:
                 spec = parse_field_spec(text)
             except QschurError as exc:
                 raise ConfigInvalid(f"bad field spec {text!r}: {exc}") from exc
+            if spec in seen:
+                raise ConfigInvalid(f"field {spec.to_text()} is listed twice")
+            seen.add(spec)
             if spec.q**self.max_dim > self.ceiling:
                 raise ConfigInvalid(
                     f"dimension {self.max_dim} at q={spec.q} exceeds the "

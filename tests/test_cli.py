@@ -50,6 +50,22 @@ def test_compute_h_on_line(capsys):
     assert out == "x^7\n"
 
 
+def test_compute_a_deep_one_row_value_off_the_generic_line(capsys):
+    # span(y) is not the generic line, so H_250 climbs the window recursion
+    code, out, err = run(capsys, "compute", "H", "--r", "250", "--field", "q=2",
+                         "--basis", "y")
+    assert (code, out, err) == (0, f"y^{2**250 - 1}\n", "")
+
+
+def test_compute_a_deep_one_row_value_meets_the_term_limit(capsys):
+    # the limit ends the climb, not the interpreter's recursion depth
+    code, out, err = run(capsys, "compute", "S", "--lambda", "250", "--field", "q=2",
+                         "--basis", "x+y;z", "--max-terms", "1000")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: sum of products holds") and "over the limit 1000" in err
+    assert err.count("\n") == 1
+
+
 def test_compute_json_round_trips(capsys):
     code, out, _ = run(capsys, "compute", "S", "--lambda", "2,1",
                        "--field", "q=3", "--basis", "x;y", "--format", "json")
@@ -326,6 +342,14 @@ def test_verify_boolean_config_value_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--config", str(cfg))
     assert (code, out) == (2, "")
     assert "must be an integer" in err
+
+
+@pytest.mark.parametrize("fields, named", [("q=2,q=2", "q=2"),
+                                           ("q=2^2,q=2^2:1,1,1", "q=2^2:1,1,1")])
+def test_verify_repeated_field_exit_2(capsys, fields, named):
+    code, out, err = run(capsys, "verify", "--field", fields, "--dim", "1",
+                         "--max-weight", "1", "--identity", "vl-recursion")
+    assert (code, out, err) == (2, "", f"error: field {named} is listed twice\n")
 
 
 def test_max_terms_restored_after_run(capsys):

@@ -1,8 +1,8 @@
-"""Straight, skew and tilde values, their matrices, and the reductions."""
+"""Straight, skew and tilde values and their matrices."""
 
 import pytest
 
-from qschur.errors import LengthTooLong, NotSubspace, ZeroVector
+from qschur.errors import LengthTooLong
 from qschur import fmatrix, schur
 from qschur.gf import field_spec, parse_field_spec
 from qschur.partitions import delta, pad_and_add, part, partition, partitions_up_to_weight
@@ -44,6 +44,17 @@ def test_one_row_values_on_a_line():
         line = span(R, [x])
         for r in range(5):
             assert ctx.h_r(r, line) == x ** (q**r - 1)
+
+
+def test_a_deep_one_row_value_on_a_line_that_is_not_generic():
+    """H_250(span(y)) climbs the window recursion, which must not nest one
+    call per index: the value is the single term y^(2^250 - 1)."""
+    ctx, R, _ = make(q=2, n=2)
+    y = R.gens()[1]
+    line = span(R, [y])
+    assert line is not generic_space(ctx.spec, 1)
+    assert ctx.h_r(250, line) == y ** (2**250 - 1)
+    assert ctx.h_r(251, line) == y ** (2**251 - 1)
 
 
 CLOSED_FORM_CASES = [(f, r) for f in ("q=2", "q=3", "q=2^2", "q=5", "q=3^2") for r in range(1, 7)]
@@ -299,42 +310,3 @@ def test_h_matrix_window_shape():
     em = ctx.e_matrix(V)
     assert em.entry(2, 2).is_one()
     assert em.entry(0, 1) == -ctx.e_r(1, V).frobenius(1)
-
-
-def test_coproduct_expand_total():
-    ctx, R, V = make()
-    U = span(R, [R.gens()[0]])
-    total = ctx.coproduct_expand((2,), (), V, U)
-    assert total == ctx.skew_S((2,), (), internal_quotient(V, U))
-    with pytest.raises(NotSubspace):
-        ctx.coproduct_expand((1,), (), U, V)
-
-
-def test_pieri_matches_quotient():
-    ctx, R, V = make(q=3)
-    for L in enumerate_lines(V):
-        ell = L.basis[0]
-        got = ctx.pieri_expand((2,), (), V, ell)
-        want = ctx.skew_S((2,), (), internal_quotient(V, L))
-        assert got == want
-
-
-def test_pieri_input_checks():
-    ctx, R, V = make()
-    x, y = R.gens()
-    with pytest.raises(ZeroVector):
-        ctx.pieri_expand((1,), (), V, R.zero)
-    with pytest.raises(LengthTooLong):
-        ctx.pieri_expand((1, 1), (), V, x)
-    ctx3, R3, _ = make(q=2, n=3)
-    u, v, w = R3.gens()
-    with pytest.raises(NotSubspace):
-        ctx3.pieri_expand((1,), (), span(R3, [u, v]), w)
-
-
-def test_fullhouse_reduction():
-    ctx, R, V = make()
-    assert ctx.fullhouse_reduce((1, 1), V) == ctx.schur_S((1, 1), V)
-    assert ctx.fullhouse_reduce((2, 1), V) == ctx.schur_S((2, 1), V)
-    ctx3, R3, V3 = make(q=2, n=3)
-    assert ctx3.fullhouse_reduce((2, 1, 1), V3) == ctx3.schur_S((2, 1, 1), V3)

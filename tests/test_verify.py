@@ -3,21 +3,25 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
 
-from qschur import schur, verify
+from qschur import partitions, schur, verify
 from qschur.errors import (
     ConfigInvalid,
     HypothesisViolated,
+    LengthTooLong,
     NotALine,
+    NotFullColumn,
     NotSubspace,
     WindowInvalid,
+    ZeroVector,
 )
 from qschur.gf import field_spec, parse_field_spec
-from qschur.partitions import pad_and_add, weight
-from qschur.ppoly import ambient_ring, get_term_limit, set_term_limit
+from qschur.partitions import pad_and_add, subpartitions_between, weight
+from qschur.ppoly import ambient_ring, get_term_limit, set_term_limit, sum_of_products
 from qschur.schur import SchurContext
 from qschur.subspaces import (
     DEFAULT_ENUMERATION_CEILING,
@@ -27,6 +31,7 @@ from qschur.subspaces import (
     generic_space,
     get_enumeration_ceiling,
     internal_quotient,
+    pi_product,
     span,
 )
 from qschur.verify import (
@@ -515,6 +520,19 @@ def test_an_empty_identity_list_is_refused():
         run_sweep(SweepConfig(fields=("q=2",), max_dim=1, identities=()))
 
 
+@pytest.mark.parametrize("fields, named", [
+    (("q=2", "q=2"), "q=2"),
+    (("q=2^2", "q=2^2:1,1,1"), "q=2^2:1,1,1"),  # one field, two spellings
+    (("q=3", "q=2", "q=3"), "q=3"),
+])
+def test_a_repeated_field_is_refused(fields, named):
+    # a sweep would report every case of the field twice
+    with pytest.raises(ConfigInvalid, match=f"^field {re.escape(named)} is listed twice$"):
+        SweepConfig(fields=fields, max_dim=1).validate()
+    with pytest.raises(ConfigInvalid, match="is listed twice$"):
+        SweepConfig.from_dict({"fields": list(fields), "max_dim": 1})
+
+
 def test_sweep_config_from_dict():
     cfg = SweepConfig.from_dict({"fields": "q=3", "max_dim": 2,
                                  "identities": "pieri", "seed": 7})
@@ -692,6 +710,76 @@ def test_coproduct_truncation_case():
     assert rep.status == "pass"
     with pytest.raises(ConfigInvalid):
         check_coproduct_truncation(ctx, (2,), (), (1,), V, U)  # nu inside lam
+
+
+def test_check_coproduct_total():
+    spec, ctx, R, V = make()
+    U = span(R, [R.gens()[0]])
+    assert check_coproduct(ctx, (2,), (), V, U).status == "pass"
+    total = sum_of_products(R, [verify._coproduct_addend(ctx, (2,), (), nu, V, U)
+                                for nu in subpartitions_between((), (2,))])
+    assert total == ctx.skew_S((2,), (), internal_quotient(V, U))
+    with pytest.raises(NotSubspace):
+        check_coproduct(ctx, (1,), (), U, V)
+
+
+def test_a_corrupted_coproduct_addend_fails_both_coproduct_identities(monkeypatch):
+    """Both coproduct identities form their addends in one helper, so one
+    corruption there shows in each."""
+    spec, ctx, R, V = make(q=3)
+    U = span(R, [R.gens()[0]])
+    honest = verify._coproduct_addend
+
+    def corrupted(*args):
+        sign, left, right = honest(*args)
+        return sign, left + R.one, right + R.one
+
+    assert check_coproduct(ctx, (2,), (), V, U).status == "pass"
+    assert check_coproduct_truncation(ctx, (2,), (), (1, 1), V, U).status == "pass"
+    monkeypatch.setattr(verify, "_coproduct_addend", corrupted)
+    for rep in (check_coproduct(ctx, (2,), (), V, U),
+                check_coproduct_truncation(ctx, (2,), (), (1, 1), V, U)):
+        assert rep.status == "fail", rep
+        assert rep.lhs and rep.rhs and rep.lhs != rep.rhs, rep
+
+
+def test_check_pieri_matches_quotient(monkeypatch):
+    spec, ctx, R, V = make(q=3)
+    lines = enumerate_lines(V)
+    for L in lines:
+        rep = check_pieri(ctx, (2,), (), V, L.basis[0])
+        assert rep.status == "pass"
+    # the check forms the expansion itself: a wrong strip exponent shows
+    honest = partitions.q_exponent
+    monkeypatch.setattr(partitions, "q_exponent", lambda *args: honest(*args) + 1)
+    for L in lines:
+        rep = check_pieri(ctx, (2,), (), V, L.basis[0])
+        assert rep.status == "fail" and rep.lhs != rep.rhs
+
+
+def test_check_pieri_input_checks():
+    spec, ctx, R, V = make()
+    x, y = R.gens()
+    with pytest.raises(ZeroVector):
+        check_pieri(ctx, (1,), (), V, R.zero)
+    with pytest.raises(LengthTooLong):
+        check_pieri(ctx, (1, 1), (), V, x)
+    spec3, ctx3, R3, _ = make(q=2, n=3)
+    u, v, w = R3.gens()
+    with pytest.raises(NotSubspace):
+        check_pieri(ctx3, (1,), (), span(R3, [u, v]), w)
+
+
+def test_check_full_column_reduction():
+    spec, ctx, R, V = make()
+    assert check_full_column(ctx, (1, 1), V).status == "pass"
+    assert check_full_column(ctx, (2, 1), V).status == "pass"
+    spec3, ctx3, R3, V3 = make(q=2, n=3)
+    assert check_full_column(ctx3, (2, 1, 1), V3).status == "pass"
+    # the right-hand side, stated here once more: (-1)^n pi(V) S_(1)(V)^q
+    assert ctx.schur_S((2, 1), V) == pi_product(V) * ctx.schur_S((1,), V) ** 2
+    with pytest.raises(NotFullColumn):
+        check_full_column(ctx, (2,), V)
 
 
 def _case_digest(report):
