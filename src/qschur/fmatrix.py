@@ -46,7 +46,7 @@ class PolyMatrix:
             if len(row) != cols:
                 raise ShapeMismatch("ragged rows in matrix")
             for e in row:
-                if e.ring != ring:
+                if e.ring is not ring:
                     raise ShapeMismatch("matrix entry from a different ring")
             ents.append(tuple(row))
         self.ring = ring
@@ -73,7 +73,7 @@ class PolyMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return other.ring == self.ring and other.entries == self.entries
+        return other.ring is self.ring and other.entries == self.entries
 
     def __hash__(self) -> int:
         return hash((self.ring, self.entries))
@@ -196,7 +196,7 @@ def window_product(
             raise WindowInvalid(
                 f"window product of {m!r}, which is not a Frobenius-twisted Toeplitz array"
             )
-    if a.ring != b.ring:
+    if a.ring is not b.ring:
         raise WindowInvalid("window product of arrays over different rings")
     ring = a.ring
     size = hi - lo + 1
@@ -260,7 +260,7 @@ def cauchy_binet(
     jj = _check_decreasing(col_idx, "column")
     if len(ii) != len(jj):
         raise ShapeMismatch("row and column index tuples differ in length")
-    if a.ring != b.ring:
+    if a.ring is not b.ring:
         raise ShapeMismatch("arrays over different rings")
     ring = a.ring
     u = len(ii)

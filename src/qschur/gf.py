@@ -3,10 +3,13 @@
 A FieldSpec fixes the characteristic p, the extension degree e and (for
 e > 1) an irreducible monic modulus, given low-to-high as e+1 coefficients.
 Elements are vectors of e coefficients over F_p in the polynomial basis
-1, t, ..., t^(e-1). All q elements are built once and interned, so element
-arithmetic is two table lookups and equality is identity. Polynomials
-store the indices of their coefficients, not elements, and compute on the
-tables directly, which keeps the polynomial layer fast and exact.
+1, t, ..., t^(e-1). Fields are interned: FieldSpec(p, e, modulus) returns
+the one object for its field (an explicit modulus equal to the built-in
+one included). All q elements are built once and interned too, so element
+arithmetic is two table lookups. For both, equality is identity and the
+hash is the value's. Polynomials store the indices of their coefficients,
+not elements, and compute on the tables directly, which keeps the
+polynomial layer fast and exact.
 
 The element order is fixed: index(c) = c0 + c1*p + ... + c_(e-1)*p^(e-1),
 which enumerates 0 first and 1 second and is lexicographic in the
@@ -63,11 +66,9 @@ class FieldElement:
         return self.idx == 1
 
     def _other_idx(self, other) -> int | None:
-        """Index of other when it is an element of an equal field, else None."""
-        if isinstance(other, FieldElement):
-            s = self.spec
-            if other.spec is s or other.spec == s:
-                return other.idx
+        """Index of other when it is an element of the same field, else None."""
+        if isinstance(other, FieldElement) and other.spec is self.spec:
+            return other.idx
         return None
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
@@ -130,13 +131,6 @@ class FieldElement:
             m >>= 1
         return acc
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and other.spec == self.spec
-            and other.idx == self.idx
-        )
-
     def __hash__(self) -> int:
         return hash((self.spec.hash_seed, self.idx))
 
@@ -149,8 +143,12 @@ class FieldElement:
         return f"FieldElement({self!s} in {self.spec.to_text()})"
 
 
+# The one FieldSpec for each (p, e, modulus) as given and as canonical.
+_specs: dict[tuple, "FieldSpec"] = {}
+
+
 class FieldSpec:
-    """A finite field F_q, q = p^e <= Q_CEILING."""
+    """A finite field F_q, q = p^e <= Q_CEILING, one object per field."""
 
     __slots__ = (
         "p",
@@ -169,12 +167,11 @@ class FieldSpec:
         "hash_seed",
     )
 
-    def __init__(
-        self,
-        p: int,
-        e: int = 1,
-        modulus: tuple[int, ...] | None = None,
-    ):
+    def __new__(cls, p: int, e: int = 1, modulus: tuple[int, ...] | None = None) -> "FieldSpec":
+        key = (p, e, None if modulus is None else tuple(modulus))
+        self = _specs.get(key)
+        if self is not None:
+            return self
         if not _is_prime(p):
             raise InvalidFieldSpec(f"characteristic {p} is not prime")
         if e < 1:
@@ -200,6 +197,18 @@ class FieldSpec:
                 )
             if modulus[-1] != 1:
                 raise InvalidFieldSpec("modulus must be monic")
+        # an explicit modulus equal to the built-in one is the same field
+        self = _specs.get((p, e, modulus))
+        if self is None:
+            self = object.__new__(cls)
+            self._build(p, e, modulus)
+            _specs[(p, e, modulus)] = self
+        _specs[key] = self
+        return self
+
+    def _build(self, p: int, e: int, modulus: tuple[int, ...]) -> None:
+        """Fill in the tables; raises InvalidFieldSpec on a reducible modulus."""
+        q = p**e
         self.p = p
         self.e = e
         self.q = q
@@ -279,14 +288,8 @@ class FieldSpec:
         """(-1)**k as a field element."""
         return self.one if k % 2 == 0 else self.minus_one
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and other.p == self.p
-            and other.e == self.e
-            and other.modulus == self.modulus
-        )
-
+    # Equality is identity (the object default). The hash is the value's, not
+    # the address, so the order of a set of fields repeats run to run.
     def __hash__(self) -> int:
         return self.hash_seed
 
@@ -304,21 +307,9 @@ _FIELD_RE = re.compile(
     r"^q=(\d+)(?:\^(\d+))?(?::([0-9]+(?:,[0-9]+)*))?$"
 )
 
-_SPEC_CACHE: dict[tuple, FieldSpec] = {}
-
-
 def field_spec(p: int, e: int = 1, modulus=None) -> FieldSpec:
-    """Interned FieldSpec factory; equal parameters yield the same object."""
-    key = (p, e, tuple(modulus) if modulus is not None else None)
-    spec = _SPEC_CACHE.get(key)
-    if spec is None:
-        spec = FieldSpec(p, e, modulus)
-        # an explicit modulus equal to the built-in one interns to the same
-        # object, so value-equal specs are always identical
-        canon = (p, e, spec.modulus)
-        spec = _SPEC_CACHE.setdefault(canon, spec)
-        _SPEC_CACHE[key] = spec
-    return spec
+    """The FieldSpec of F_(p^e) with the given or built-in modulus."""
+    return FieldSpec(p, e, modulus)
 
 
 def parse_field_spec(text: str) -> FieldSpec:

@@ -6,9 +6,11 @@ citizens: arithmetic, ordering, printing and parsing all handle them
 exactly. Substitution is the one operation that insists on integer
 exponents.
 
-A PolyRing fixes the coefficient field and the variable names. Mixing
-rings in arithmetic is an error, and evaluate_morphism (substitution) is
-the only bridge between them.
+A PolyRing fixes the coefficient field and the variable names. Rings are
+interned like fields: PolyRing(spec, names) returns the one object for its
+value, so equality is identity and the hash is the value's. Mixing rings
+in arithmetic is an error, and evaluate_morphism (substitution) is the
+only bridge between them.
 
 The monomial order is graded lexicographic: compare exact total degrees
 first, then the exponent vectors with the lowest-index variable most
@@ -135,21 +137,32 @@ AMBIENT_NAMES = ("x", "y", "z", "w", "v", "u", "s", "r")
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 
 
+# The one PolyRing for each (spec, names).
+_rings: dict[tuple, "PolyRing"] = {}
+
+
 class PolyRing:
-    """Polynomial ring: a field spec and ordered variable names."""
+    """Polynomial ring: a field spec and ordered variable names, one object
+    per value. Equality is identity (the object default); the hash is the
+    value's, so the order of a set of rings repeats run to run."""
 
     __slots__ = ("spec", "names", "nvars", "zero", "one", "_gens", "_name_index", "_hash")
 
-    def __init__(self, spec: FieldSpec, names: Iterable[str]):
+    def __new__(cls, spec: FieldSpec, names: Iterable[str]) -> "PolyRing":
         names = tuple(names)
+        key = (spec, names)
+        self = _rings.get(key)
+        if self is not None:
+            return self
         if len(set(names)) != len(names):
             raise RingMismatch("ring variable names must be distinct")
         for nm in names:
             if not _NAME_RE.match(nm):
                 raise RingMismatch(f"bad variable name {nm!r}")
+        self = object.__new__(cls)
         self.spec = spec
         self.names = names
-        self._hash = hash((spec, names))
+        self._hash = hash(key)
         self._name_index = {nm: i for i, nm in enumerate(names)}
         n = self.nvars = len(names)
         self.zero = Poly(self, {})
@@ -159,6 +172,8 @@ class PolyRing:
             Poly(self, {_pack([int(i == j) for j in range(n)], WORD): 1})
             for i in range(n)
         )
+        _rings[key] = self
+        return self
 
     def gens(self) -> tuple["Poly", ...]:
         return self._gens
@@ -169,7 +184,7 @@ class PolyRing:
     def from_coeff(self, c: FieldElement | int) -> "Poly":
         if isinstance(c, int):
             c = self.spec.element(c)
-        elif c.spec != self.spec:
+        elif c.spec is not self.spec:
             raise RingMismatch("coefficient from a different field")
         if c.idx == 0:
             return self.zero
@@ -184,7 +199,7 @@ class PolyRing:
         for v, c in terms:
             if len(v) != self.nvars:
                 raise RingMismatch(f"exponent vector {tuple(v)} for {self.nvars} variables")
-            if c.spec != spec:
+            if c.spec is not spec:
                 raise RingMismatch("coefficient from a different field")
             if c.idx:
                 live.append((v, c.idx))
@@ -202,13 +217,6 @@ class PolyRing:
         den = self.spec.q**d
         return (Fraction(sum(v), den), tuple(Fraction(e, den) for e in v))
 
-    def __eq__(self, other: object) -> bool:
-        return other is self or (
-            isinstance(other, PolyRing)
-            and other.spec == self.spec
-            and other.names == self.names
-        )
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -219,18 +227,11 @@ class PolyRing:
         return _parse_poly(self, text)
 
 
-_AMBIENT_CACHE: dict[tuple[FieldSpec, int], PolyRing] = {}
-
-
 def ambient_ring(spec: FieldSpec, n: int) -> PolyRing:
     """Working ring with n variables named x, y, z, w, v, u, s, r."""
     if n > len(AMBIENT_NAMES):
         raise RingMismatch(f"ambient rings support at most {len(AMBIENT_NAMES)} variables")
-    ring = _AMBIENT_CACHE.get((spec, n))
-    if ring is None:
-        ring = PolyRing(spec, AMBIENT_NAMES[:n])
-        _AMBIENT_CACHE[(spec, n)] = ring
-    return ring
+    return PolyRing(spec, AMBIENT_NAMES[:n])
 
 
 def _merge(out: dict, items: Iterable, add_t: tuple) -> None:
@@ -393,7 +394,7 @@ class Poly:
 
     def _coerce(self, other) -> "Poly | None":
         if isinstance(other, Poly):
-            if other.ring is not self.ring and other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise RingMismatch(
                     f"operands in different rings: {self.ring!r} vs {other.ring!r}"
                 )
@@ -454,7 +455,7 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if other.ring is not self.ring and other.ring != self.ring:
+        if other.ring is not self.ring:
             raise RingMismatch(
                 f"operands in different rings: {self.ring!r} vs {other.ring!r}"
             )
@@ -470,7 +471,7 @@ class Poly:
     def scale(self, c: FieldElement | int) -> "Poly":
         if isinstance(c, int):
             c = self.ring.spec.element(c)
-        elif c.spec != self.ring.spec:
+        elif c.spec is not self.ring.spec:
             raise RingMismatch("scalar from a different field")
         if c.idx == 0:
             return self.ring.zero
@@ -600,7 +601,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return (
-            (other.ring is self.ring or other.ring == self.ring)
+            other.ring is self.ring
             and other.shift == self.shift
             and other.terms == self.terms
         )
@@ -638,11 +639,11 @@ def sum_of_products(ring: PolyRing, triples: Iterable) -> Poly:
     live = []
     for c, a, b in triples:
         for p in (a, b):
-            if p.ring is not ring and p.ring != ring:
+            if p.ring is not ring:
                 raise RingMismatch(f"operand in a different ring: {p.ring!r} vs {ring!r}")
         if isinstance(c, int):
             c = spec.element(c)
-        elif c.spec != spec:
+        elif c.spec is not spec:
             raise RingMismatch("scalar from a different field")
         if c.idx and a.terms and b.terms:
             live.append((c.idx, a, b))
@@ -818,7 +819,7 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     are summed as they are taken, and a sum that cancels leaves nothing
     behind.
     """
-    if a.ring != b.ring:
+    if a.ring is not b.ring:
         raise RingMismatch("exact_div operands in different rings")
     if not b.terms:
         raise NotDivisible("division by the zero polynomial")
@@ -940,15 +941,15 @@ def evaluate_morphism(
     if images:
         tring = images[0].ring
         for im in images[1:]:
-            if im.ring != tring:
+            if im.ring is not tring:
                 raise RingMismatch("images live in different rings")
-        if target_ring is not None and target_ring != tring:
+        if target_ring is not None and target_ring is not tring:
             raise RingMismatch("explicit target ring disagrees with the images")
     else:
         if target_ring is None:
             raise RingMismatch("zero-variable substitution needs an explicit target ring")
         tring = target_ring
-    if tring.spec != ring.spec:
+    if tring.spec is not ring.spec:
         raise RingMismatch("substitution cannot change the coefficient field")
     if p.shift:
         raise FractionalExponent("substitution requires integer exponents")
@@ -1095,7 +1096,7 @@ class UniPoly:
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if other.ring != self.ring:
+        if other.ring is not self.ring:
             raise RingMismatch("univariate operands in different rings")
         by_exp: dict = {}
         for ea, ca in self.coeffs.items():
@@ -1110,7 +1111,7 @@ class UniPoly:
 
     def apply(self, v: Poly) -> Poly:
         """Evaluate at a polynomial argument."""
-        if v.ring != self.ring:
+        if v.ring is not self.ring:
             raise RingMismatch("argument in a different ring")
         return sum_of_products(self.ring, [(1, c, v**e) for e, c in self.coeffs.items()])
 
@@ -1122,7 +1123,7 @@ class UniPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return other.ring == self.ring and other.coeffs == self.coeffs
+        return other.ring is self.ring and other.coeffs == self.coeffs
 
     def __hash__(self) -> int:
         return hash((self.ring, frozenset(self.coeffs.items())))

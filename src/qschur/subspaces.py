@@ -103,7 +103,7 @@ class Subspace:
     def span(cls, ring: PolyRing, vectors) -> "Subspace":
         basis: list[Poly] = []
         for v in vectors:
-            if v.ring != ring:
+            if v.ring is not ring:
                 raise RingMismatch("spanning vector from a different ring")
             v = _reduce(v, basis)
             if not v.terms:
@@ -124,7 +124,7 @@ class Subspace:
         return len(self.basis)
 
     def reduce(self, v: Poly) -> Poly:
-        if v.ring != self.ring:
+        if v.ring is not self.ring:
             raise RingMismatch("vector from a different ring")
         return _reduce(v, list(self.basis))
 
@@ -132,7 +132,7 @@ class Subspace:
         return not self.reduce(v).terms
 
     def contains(self, other: "Subspace") -> bool:
-        if other.ring != self.ring:
+        if other.ring is not self.ring:
             raise RingMismatch("subspace over a different ring")
         return all(self.contains_vector(b) for b in other.basis)
 
@@ -348,7 +348,7 @@ def internal_quotient(V: Subspace, U: Subspace) -> Subspace:
     keeps every quotient it has formed, and equal spaces are one object;
     a repeated U still meets the enumeration ceiling and the term limit.
     """
-    if U.ring != V.ring:
+    if U.ring is not V.ring:
         raise RingMismatch("quotient of subspaces over different rings")
     memo = V._quotients
     if memo is not None:

@@ -418,14 +418,18 @@ def check_full_column(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
 
 
 def check_elementary_lemmas(spec: FieldSpec, n: int, seed: int = 0, trials: int = 20) -> list[CaseReport]:
-    """The small arithmetic facts, at dimension n.
+    """The small arithmetic facts at dimension n, with the per-field
+    permutation-witness search at n = 1 only."""
+    reports = _elementary_cases(spec, n, seed, trials)
+    if n == 1:
+        reports.extend(_check_perm_witness(spec.q))
+    return reports
 
-    Per-field facts (power sums, the permutation-witness search) are only
-    emitted at n = 1 so a sweep does not repeat them per dimension. The
-    permutation-witness search does not depend on the field at all: it runs
-    once per process, and later fields report the same cases with millis
-    about 0 (see _check_perm_witness).
-    """
+
+def _elementary_cases(spec: FieldSpec, n: int, seed: int, trials: int) -> list[CaseReport]:
+    """Every elementary lemma but perm-witness, at dimension n. Per-field
+    facts (power sums) are only emitted at n = 1 so a sweep does not repeat
+    them per dimension."""
     rng = random.Random(f"elementary:{spec.to_text()}:{n}:{seed}")
     q = spec.q
     reports = []
@@ -438,7 +442,6 @@ def check_elementary_lemmas(spec: FieldSpec, n: int, seed: int = 0, trials: int 
         reports.append(_case("power-sum-zero", q, 1, (), (), t0, bad_i is None,
                              lambda: str(power_sum(spec, bad_i)), "0",
                              basis=None if bad_i is None else f"i={bad_i}"))
-        reports.extend(_check_perm_witness(q))
 
     if n >= 1:
         t0 = time.perf_counter()
@@ -811,10 +814,12 @@ IDENTITIES = (
         for lam in partitions_up_to_weight(cfg.max_weight, V.dim) if len(lam) == V.dim), min_n=1),
     # elementary runs at n = 1..3 whatever min_dim is
     Identity(("power-sum-zero", "line-sum", "pi-of-line", "low-degree-point-sum",
-              "vector-power-sum", "perm-witness"), "elementary", lambda cfg, ctx: (
+              "vector-power-sum"), "elementary", lambda cfg, ctx: (
         rep for n in range(1, min(3, max(cfg.max_dim, 1)) + 1)
-        for rep in check_elementary_lemmas(ctx.spec, n, seed=cfg.seed, trials=cfg.trials)),
+        for rep in _elementary_cases(ctx.spec, n, cfg.seed, cfg.trials)),
         per_field=True),
+    Identity(("perm-witness",), "elementary", lambda cfg, ctx: _check_perm_witness(ctx.spec.q),
+             per_field=True),
     Identity(("gl-invariance",), "structural", lambda cfg, ctx, V: (
         check_gl_invariance(ctx, lam, V, cfg.seed)
         for lam in partitions_up_to_weight(_weight_cap(cfg, V.dim), V.dim)), min_n=1),

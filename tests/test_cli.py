@@ -38,6 +38,12 @@ def test_compute_elementary_is_pi(capsys):
     assert out2 == out
 
 
+def test_compute_drops_a_dependent_spanning_vector(capsys):
+    # a dependent spanning list is no error: span keeps an echelon basis
+    assert run(capsys, "compute", "S", "--lambda", "1", "--basis", "x;x") == (0, "x\n", "")
+    assert run(capsys, "compute", "S", "--lambda", "1", "--basis", "x") == (0, "x\n", "")
+
+
 def test_compute_pi_line_q3(capsys):
     code, out, _ = run(capsys, "compute", "pi", "--field", "q=3",
                        "--basis", "x")

@@ -137,6 +137,24 @@ def test_every_modulus_is_accepted_exactly_when_irreducible(p, e):
             assert str(err.value) == f"modulus {list(modulus)} is reducible over F_{p}"
 
 
+def test_every_construction_of_a_field_returns_its_one_object():
+    assert FieldSpec(3) is FieldSpec(3)
+    # an explicit modulus equal to the built-in one is the same field
+    assert FieldSpec(2, 2) is FieldSpec(2, 2, (1, 1, 1)) is field_spec(2, 2)
+    assert field_spec(2, 2, [3, 1, 1]) is field_spec(2, 2)
+    assert FieldSpec(2, 2, (1, 1, 1)) is not FieldSpec(2, 4)
+    assert field_spec(3).element(2) is field_spec(3).element(2)
+
+
+def test_a_reducible_modulus_is_refused_on_every_call():
+    # the first refusal left nothing behind for the second call to find
+    for _ in range(2):
+        with pytest.raises(InvalidFieldSpec, match="reducible"):
+            FieldSpec(2, 2, (1, 0, 1))
+    with pytest.raises(InvalidFieldSpec, match="reducible"):
+        field_spec(2, 2, (1, 0, 1))
+
+
 def test_element_hash_and_eq_cross_spec():
     a = field_spec(3).element(2)
     b = field_spec(3).element(2)

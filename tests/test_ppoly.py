@@ -21,6 +21,7 @@ from qschur.fmatrix import PolyMatrix, det
 from qschur.gf import field_spec, parse_field_spec
 from qschur.ppoly import (
     Poly,
+    PolyRing,
     UniPoly,
     ambient_ring,
     evaluate_morphism,
@@ -230,6 +231,16 @@ def test_exact_div_not_divisible():
         exact_div(x**2 + y, x + y)
     with pytest.raises(NotDivisible):
         exact_div(x, R3.zero)
+
+
+def test_every_construction_of_a_ring_returns_its_one_object():
+    spec = field_spec(3)
+    assert PolyRing(spec, ("x", "y")) is ambient_ring(spec, 2)
+    assert PolyRing(spec, ["a"]) is PolyRing(spec, ("a",))
+    assert PolyRing(spec, ("x", "y")) is not PolyRing(field_spec(5), ("x", "y"))
+    assert PolyRing(spec, ("y", "x")) is not ambient_ring(spec, 2)
+    with pytest.raises(RingMismatch):
+        PolyRing(spec, ("a", "a"))
 
 
 def test_ring_mismatch():

@@ -946,3 +946,14 @@ def test_a_group_or_identity_chosen_alone_reports_exactly_its_members(name):
     report = run_sweep(SweepConfig(**TABLE_CFG, identities=(name,)))
     members = set(GROUPS.get(name, (name,)))
     assert {c["identity"] for c in report["cases"]} == members
+
+
+def test_the_perm_witness_search_runs_only_when_chosen(monkeypatch):
+    # the search is its own per-field row, not part of the elementary bundle
+    calls = []
+    honest = verify._check_perm_witness
+    monkeypatch.setattr(verify, "_check_perm_witness", lambda q: calls.append(q) or honest(q))
+    run_sweep(SweepConfig(**TABLE_CFG, identities=("line-sum",)))
+    assert calls == []
+    run_sweep(SweepConfig(**dict(TABLE_CFG, fields=("q=2", "q=3")), identities=("perm-witness",)))
+    assert calls == [2, 3]
