@@ -1,7 +1,7 @@
 """qschur: exact Schur-style polynomial calculus over finite fields.
 
 Straight, skew and companion values are built from q-power alternants and
-Frobenius-twisted determinants over F_q; subspaces of a polynomial ring
+minors of Frobenius-twisted arrays over F_q; subspaces of a polynomial ring
 support internal quotients through additive annihilators; a verification
 harness checks the recursion and factorization identities by exact
 polynomial equality at small parameters.

@@ -10,10 +10,13 @@ does not depend on the basis chosen; other spaces reach it by the routes of
 SchurContext.
 
 Complete and elementary values H_r and E_r are the straight values at the
-one-row and one-column shapes. On every basis a skew value is one
-Frobenius-twisted determinant over the cached H_r of that basis (its tilde
-companion one over the E_r); for skew values the twist can be negative, so
-fractional exponents may and do occur.
+one-row and one-column shapes, and the diagonals of the H and E arrays of a
+space (h_matrix, e_matrix). On every basis a skew value is the minor of V's
+H array on rows mu_j - j and columns lam_i - i, the Jacobi-Trudi form
+(Macdonald, Symmetric Functions and Hall Polynomials, I (5.4)); its tilde
+companion is the same minor of the E array, signed. Those rows reach below
+zero, where the array's Frobenius twist is negative, so fractional exponents
+may and do occur.
 
 A SchurContext carries the per-field caches: straight values keyed by
 (shape, space), and skew values keyed likewise with the matrix size. Cache
@@ -34,8 +37,8 @@ from .subspaces import Subspace, generic_space
 
 
 def _sized(lam, mu, k: int | None) -> tuple[Partition, Partition, int]:
-    """Validated shapes and matrix size of a twisted determinant: k defaults
-    to the longer shape's length, and a smaller k is refused."""
+    """Validated shapes and size of a skew value's minor: k defaults to the
+    longer shape's length, and a smaller k is refused."""
     lam = partitions.partition(lam)
     mu = partitions.partition(mu)
     least = max(len(lam), len(mu))
@@ -46,14 +49,12 @@ def _sized(lam, mu, k: int | None) -> tuple[Partition, Partition, int]:
     return lam, mu, k
 
 
-def _h_twist(a: int, b: int) -> int:
-    """Twist phi^(mu_j - j + 1) of a skew-value entry."""
-    return b + 1
-
-
-def _e_twist(a: int, b: int) -> int:
-    """Twist phi^(lam_i - i) of a companion-value entry."""
-    return a
+def _minor(array: fmatrix.TwistedToeplitz, lam: Partition, mu: Partition,
+           k: int) -> fmatrix.PolyMatrix:
+    """The minor of an H or E array on rows mu_j - j and columns lam_i - i,
+    1 <= i, j <= k."""
+    return fmatrix.sub_minor(array, [partitions.part(mu, j) - j for j in range(1, k + 1)],
+                             [partitions.part(lam, i) - i for i in range(1, k + 1)])
 
 
 class SchurContext:
@@ -69,8 +70,9 @@ class SchurContext:
       over the E_j for one-row shapes and, for the rest, the cached
       skew_S(lam, (), V), so such a straight value and its skew value are
       one object;
-    - S_lam/mu(V) (skew_S): the twisted determinant over the H_r on V's own
-      basis, on every basis; tilde_S likewise over the E_r.
+    - S_lam/mu(V) (skew_S): the minor of h_matrix(V) on rows mu_j - j and
+      columns lam_i - i, over the H_r on V's own basis, on every basis;
+      tilde_S: (-1)^(|lam| - |mu|) times the same minor of e_matrix(U).
 
     What each identity of qschur.verify compares a value against (the sweep
     runs on generic spaces, whose quotients V // U have dense bases):
@@ -156,7 +158,7 @@ class SchurContext:
         G's value substituted onto V's basis. Otherwise the one-row values
         climb the window identity sum_j (-1)^j phi^(r-1)(E_j) H_(r-j) = 0,
         whose E_j are the (small) one-column values, and every other shape
-        is the cached skew value at mu = (), the twisted determinant in the
+        is the cached skew value at mu = (), the minor of the H array of
         one-row values.
         """
         n = V.dim
@@ -200,7 +202,8 @@ class SchurContext:
     # Skew values ----------------------------------------------------------
 
     def skew_S(self, lam: Partition, mu: Partition, V: Subspace, k: int | None = None) -> Poly:
-        """Twisted determinant det(phi^(mu_j - j + 1) H_(lam_i - mu_j - i + j)).
+        """The minor of h_matrix(V) on rows mu_j - j and columns lam_i - i,
+        1 <= i, j <= k: det(phi^(mu_j - j + 1) H_(lam_i - mu_j - i + j)(V)).
 
         The size k defaults to max(len(lam), len(mu)) and any larger k gives
         the same value. Negative twists make fractional exponents possible;
@@ -212,24 +215,20 @@ class SchurContext:
         with self._lock:
             got = self._skew.get(key)
             if got is None:
-                got = self._skew[key] = self._twisted_det(lam, mu, k, V, self.h_r, _h_twist)
+                got = self._skew[key] = fmatrix.det(_minor(self.h_matrix(V), lam, mu, k))
         return got
 
     def tilde_S(self, lam: Partition, mu: Partition, U: Subspace) -> Poly:
-        """Companion determinant det(phi^(lam_i - i) E_(lam_i - mu_j - i + j))."""
-        lam, mu, k = _sized(lam, mu, None)
-        return self._twisted_det(lam, mu, k, U, self.e_r, _e_twist)
+        """Companion value det(phi^(lam_i - i) E_(lam_i - mu_j - i + j)(U)).
 
-    def _twisted_det(self, lam: Partition, mu: Partition, k: int, V: Subspace,
-                     value, twist) -> Poly:
-        """det(phi^twist(a_i, b_j) value(a_i - b_j, V)) over 1 <= i, j <= k,
-        with a_i = lam_i - i and b_j = mu_j - j, in the ring of V."""
-        b = [partitions.part(mu, j) - j for j in range(1, k + 1)]
-        rows = []
-        for i in range(1, k + 1):
-            a = partitions.part(lam, i) - i
-            rows.append([value(a - bj, V).frobenius(twist(a, bj)) for bj in b])
-        return fmatrix.det(fmatrix.PolyMatrix(V.ring, rows))
+        It is (-1)^(|lam| - |mu|) times the minor of e_matrix(U) on the rows
+        and columns of skew_S: that minor's cells carry the signs
+        (-1)^(lam_i - mu_j - i + j), whose product over a permutation is
+        (-1)^(|lam| - |mu|).
+        """
+        lam, mu, k = _sized(lam, mu, None)
+        sign = self.spec.sign(partitions.weight(lam) - partitions.weight(mu))
+        return fmatrix.det(_minor(self.e_matrix(U), lam, mu, k)).scale(sign)
 
     # Triangular arrays ----------------------------------------------------
 

@@ -3,7 +3,8 @@ exact check here, reported case by case.
 
 A CaseReport names the identity, the parameters it ran at, and pass/fail;
 failing reports carry both sides verbatim in text form. run_sweep drives a
-grid of checks from a SweepConfig and returns a JSON-ready dict. Everything
+grid of checks from a SweepConfig, timing each case, and returns a
+JSON-ready dict; a check called directly reports millis 0. Everything
 is exact equality; there is no tolerance anywhere. Randomized pieces draw
 from seeded generators only, so a sweep is reproducible from its seed.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import functools
 import random
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
@@ -88,12 +89,12 @@ class CaseReport:
         return (self.identity, self.q, self.n, self.lam, self.mu, self.basis)
 
 
-def _case(identity, ctx_q, V_or_n, lam, mu, t0, ok, lhs, rhs,
-          basis=None) -> CaseReport:
+def _case(identity, ctx_q, V_or_n, lam, mu, ok, lhs, rhs, basis=None) -> CaseReport:
     """Assemble a report. The sides lhs and rhs are values, rendered with
     str() only on failure; a callable side is called for its text instead,
     for a side that is formed only on failure. basis defaults to the
-    description of V, or to "" when a dimension is given."""
+    description of V, or to "" when a dimension is given. millis stays 0:
+    the sweep times each case (_timed)."""
     if isinstance(V_or_n, Subspace):
         n = V_or_n.dim
         if basis is None:
@@ -107,7 +108,6 @@ def _case(identity, ctx_q, V_or_n, lam, mu, t0, ok, lhs, rhs,
         lam=tuple(lam),
         mu=tuple(mu),
         basis=basis or "",
-        millis=int((time.perf_counter() - t0) * 1000),
     )
     if not ok:
         rep.status = "fail"
@@ -126,7 +126,6 @@ def check_vl_recursion(ctx: SchurContext, lam, mu, V: Subspace, summand_fn=None)
     the direct internal-quotient evaluation. The hook exists so the harness
     can be shown to catch a corrupted summand.
     """
-    t0 = time.perf_counter()
     lam = partitions.partition(lam)
     mu = partitions.partition(mu)
     if summand_fn is None:
@@ -135,25 +134,23 @@ def check_vl_recursion(ctx: SchurContext, lam, mu, V: Subspace, summand_fn=None)
     rhs = V.ring.zero
     for L in enumerate_lines(V):
         rhs = rhs + summand_fn(lam, mu, V, L)
-    return _case("vl-recursion", ctx.spec.q, V, lam, mu, t0, lhs == rhs, lhs, rhs)
+    return _case("vl-recursion", ctx.spec.q, V, lam, mu, lhs == rhs, lhs, rhs)
 
 
 def check_straight_recursion(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
     """Straight value on V equals the sum of straight values on V // L over
     all lines L."""
-    t0 = time.perf_counter()
     lam = partitions.partition(lam)
     lhs = ctx.schur_S(lam, V)
     rhs = V.ring.zero
     for L in enumerate_lines(V):
         rhs = rhs + ctx.schur_S(lam, internal_quotient(V, L))
-    return _case("straight-recursion", ctx.spec.q, V, lam, (), t0, lhs == rhs, lhs, rhs)
+    return _case("straight-recursion", ctx.spec.q, V, lam, (), lhs == rhs, lhs, rhs)
 
 
 def check_flag_formula(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
     """Straight value as a sum over complete flags of products of one-row
     values on the successive quotients."""
-    t0 = time.perf_counter()
     lam = partitions.partition(lam)
     lhs = ctx.schur_S(lam, V)
     n = V.dim
@@ -164,7 +161,7 @@ def check_flag_formula(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
             Q = internal_quotient(flag.chain[i - 1], flag.chain[i])
             term = term * ctx.h_r(partitions.part(lam, i), Q)
         rhs = rhs + term
-    return _case("flag-formula", ctx.spec.q, V, lam, (), t0, lhs == rhs, lhs, rhs)
+    return _case("flag-formula", ctx.spec.q, V, lam, (), lhs == rhs, lhs, rhs)
 
 
 def check_pieri(ctx: SchurContext, lam, mu, V: Subspace, ell: Poly) -> CaseReport:
@@ -172,7 +169,6 @@ def check_pieri(ctx: SchurContext, lam, mu, V: Subspace, ell: Poly) -> CaseRepor
     expansion along ell: the sum over nu with lam/nu a vertical strip of
     (-1)^(|lam| - |nu|) ell^(twist exponent) S_(nu/mu)(V). Needs ell a
     nonzero vector of V and len(lam), len(mu) < dim V."""
-    t0 = time.perf_counter()
     lam = partitions.partition(lam)
     mu = partitions.partition(mu)
     if not ell.terms:
@@ -189,7 +185,7 @@ def check_pieri(ctx: SchurContext, lam, mu, V: Subspace, ell: Poly) -> CaseRepor
          ell ** partitions.q_exponent(lam, nu, n, spec.q), ctx.skew_S(nu, mu, V))
         for nu in partitions.vertical_strip_subpartitions(lam)
     ])
-    return _case("pieri", spec.q, V, lam, mu, t0, lhs == rhs, lhs, rhs)
+    return _case("pieri", spec.q, V, lam, mu, lhs == rhs, lhs, rhs)
 
 
 def _coproduct_addend(ctx: SchurContext, lam, mu, nu, V: Subspace, U: Subspace) -> tuple:
@@ -202,7 +198,6 @@ def _coproduct_addend(ctx: SchurContext, lam, mu, nu, V: Subspace, U: Subspace) 
 def check_coproduct(ctx: SchurContext, lam, mu, V: Subspace, U: Subspace) -> CaseReport:
     """The skew value on V // U equals the sum of the coproduct addends over
     nu between mu and lam. Needs U <= V."""
-    t0 = time.perf_counter()
     lam = partitions.partition(lam)
     mu = partitions.partition(mu)
     if not V.contains(U):
@@ -212,7 +207,7 @@ def check_coproduct(ctx: SchurContext, lam, mu, V: Subspace, U: Subspace) -> Cas
         for nu in partitions.subpartitions_between(mu, lam)
     ])
     lhs = ctx.skew_S(lam, mu, internal_quotient(V, U))
-    return _case("coproduct", ctx.spec.q, V, lam, mu, t0, lhs == total, lhs, total)
+    return _case("coproduct", ctx.spec.q, V, lam, mu, lhs == total, lhs, total)
 
 
 # Matrix calculus ----------------------------------------------------------
@@ -232,7 +227,6 @@ def _window_sides(left, right, lo: int) -> tuple[str, str]:
 def check_he_inverse(ctx: SchurContext, V: Subspace, lo: int, hi: int) -> CaseReport:
     """The H and E arrays of V are mutually inverse on the window [lo, hi]:
     E * H is the identity there (SchurContext says why this order)."""
-    t0 = time.perf_counter()
     prod = fmatrix.window_product(ctx.e_matrix(V), ctx.h_matrix(V), lo, hi)
     ok = prod.is_identity()
     sides = ("", "")
@@ -242,14 +236,13 @@ def check_he_inverse(ctx: SchurContext, V: Subspace, lo: int, hi: int) -> CaseRe
             ring, [[ring.one if i == j else ring.zero for j in range(size)] for i in range(size)]
         )
         sides = _window_sides(prod, identity, lo)
-    return _case("he-inverse", ctx.spec.q, V, (), (), t0, ok, *sides,
+    return _case("he-inverse", ctx.spec.q, V, (), (), ok, *sides,
                  basis=f"{V.describe()} window [{lo},{hi}]")
 
 
 def check_factorization(ctx: SchurContext, V: Subspace, U: Subspace) -> CaseReport:
     """The H-array of V equals the H-array of V // U times the m-twisted
     H-array of U, with m = dim V - dim U, on the window [-(dim V + 3), dim V + 3]."""
-    t0 = time.perf_counter()
     if not V.contains(U):
         raise NotSubspace("factorization check requires U <= V")
     Q = internal_quotient(V, U)
@@ -258,7 +251,7 @@ def check_factorization(ctx: SchurContext, V: Subspace, U: Subspace) -> CaseRepo
     direct = fmatrix.window_of(ctx.h_matrix(V), lo, hi)
     ok = prod == direct
     sides = ("", "") if ok else _window_sides(prod, direct, lo)
-    return _case("h-factorization", ctx.spec.q, V, (), (), t0, ok, *sides,
+    return _case("h-factorization", ctx.spec.q, V, (), (), ok, *sides,
                  basis=V.describe() + " // " + U.describe())
 
 
@@ -299,13 +292,16 @@ def check_matrix_lemmas(spec: FieldSpec, seed: int, trials: int = 50) -> list[Ca
     basis names the trial index and its draw; the draws come from one stream
     seeded by the field and seed, in a fixed order.
     """
+    return list(_matrix_cases(spec, seed, trials))
+
+
+def _matrix_cases(spec: FieldSpec, seed: int, trials: int) -> Iterator[CaseReport]:
+    """The reports of check_matrix_lemmas, one at a time."""
     rng = random.Random(f"matrix:{spec.to_text()}:{seed}")
     ring = ambient_ring(spec, 2)
-    reports = []
 
     lo, hi = -4, 6
     for t in range(trials):
-        t0 = time.perf_counter()
         a = _band_array(ring, rng, lo, hi, 2, tag=f"a{t}")
         b = _band_array(ring, rng, lo, hi, 2, tag=f"b{t}")
         u = rng.randint(0, 3)
@@ -315,11 +311,10 @@ def check_matrix_lemmas(spec: FieldSpec, seed: int, trials: int = 50) -> list[Ca
         total = ring.zero
         for _, left, right in addends:
             total = total + left * right
-        reports.append(_case("cauchy-binet", spec.q, 2, (), (), t0, direct == total, direct, total,
-                             basis=f"trial {t} rows {ii} cols {jj}"))
+        yield _case("cauchy-binet", spec.q, 2, (), (), direct == total, direct, total,
+                    basis=f"trial {t} rows {ii} cols {jj}")
 
     for t in range(trials):
-        t0 = time.perf_counter()
         u = rng.randint(1, 3)
         c = fmatrix.PolyMatrix(ring, [
             [_random_poly(ring, rng, max_terms=2, max_exp=3, allow_zero=True)
@@ -330,11 +325,10 @@ def check_matrix_lemmas(spec: FieldSpec, seed: int, trials: int = 50) -> list[Ca
         nu = partitions.partition(sorted((rng.randint(0, 3) for _ in range(rng.randint(0, u))), reverse=True))
         lhs = fmatrix.scale_sign_det(c, lam, nu)
         rhs = fmatrix.det(c).scale(spec.sign(partitions.weight(lam) - partitions.weight(nu)))
-        reports.append(_case("sign-scaled-det", spec.q, 2, (), (), t0, lhs == rhs, lhs, rhs,
-                             basis=f"trial {t} size {u} lam {lam} nu {nu}"))
+        yield _case("sign-scaled-det", spec.q, 2, (), (), lhs == rhs, lhs, rhs,
+                    basis=f"trial {t} size {u} lam {lam} nu {nu}")
 
     for t in range(trials):
-        t0 = time.perf_counter()
         u = rng.randint(2, 4)
         xs_count = rng.randint(1, u)
         ys_count = u + 1 - xs_count
@@ -350,30 +344,27 @@ def check_matrix_lemmas(spec: FieldSpec, seed: int, trials: int = 50) -> list[Ca
                     row.append(_random_poly(ring, rng, max_terms=2, max_exp=3, allow_zero=True))
             rows.append(row)
         c = fmatrix.PolyMatrix(ring, rows)
-        reports.append(_case("zero-block-det", spec.q, 2, (), (), t0,
-                             fmatrix.too_many_zeroes_check(c, xs, ys),
-                             lambda: str(fmatrix.det(c)), "0",
-                             basis=f"trial {t} size {u} rows {sorted(xs)} cols {sorted(ys)}"))
-    return reports
+        yield _case("zero-block-det", spec.q, 2, (), (),
+                    fmatrix.too_many_zeroes_check(c, xs, ys),
+                    lambda: str(fmatrix.det(c)), "0",
+                    basis=f"trial {t} size {u} rows {sorted(xs)} cols {sorted(ys)}")
 
 
 # Subspace calculus --------------------------------------------------------
 
 
 def check_quotient_tower(V: Subspace, U: Subspace, T: Subspace, q: int) -> CaseReport:
-    t0 = time.perf_counter()
     ok = subspaces.quotient_tower_check(V, U, T)
     quot = subspaces.internal_quotient
-    return _case("quotient-tower", q, V, (), (), t0, ok,
+    return _case("quotient-tower", q, V, (), (), ok,
                  lambda: quot(V, U).describe(),
                  lambda: quot(quot(V, T), quot(U, T)).describe(),
                  basis=f"{V.describe()} / {U.describe()} / {T.describe()}")
 
 
 def check_coset_product(U: Subspace, Uprime: Subspace, q: int) -> CaseReport:
-    t0 = time.perf_counter()
     ok = subspaces.coset_product_check(U, Uprime)
-    return _case("coset-product", q, U, (), (), t0, ok,
+    return _case("coset-product", q, U, (), (), ok,
                  lambda: str(subspaces.pi_product(subspaces.internal_quotient(U, Uprime))),
                  lambda: str(subspaces.coset_product(U, Uprime)),
                  basis=f"{U.describe()} / {Uprime.describe()}")
@@ -381,37 +372,34 @@ def check_coset_product(U: Subspace, Uprime: Subspace, q: int) -> CaseReport:
 
 def check_pi_flag_product(flag: Flag, q: int) -> CaseReport:
     """pi of the whole space equals the product of pi over the flag steps."""
-    t0 = time.perf_counter()
     V = flag.chain[0]
     lhs = pi_product(V)
     rhs = V.ring.one
     for big, small in zip(flag.chain, flag.chain[1:]):
         rhs = rhs * pi_product(internal_quotient(big, small))
-    return _case("pi-flag-product", q, V, (), (), t0, lhs == rhs, lhs, rhs)
+    return _case("pi-flag-product", q, V, (), (), lhs == rhs, lhs, rhs)
 
 
 def check_hook_step(ctx: SchurContext, U: Subspace, r: int) -> CaseReport:
     """On a line U: pi(U) * phi(H_(r-1)(U)) == -H_r(U), for r >= 1."""
-    t0 = time.perf_counter()
     if U.dim != 1:
         raise NotALine(f"hook step needs dim 1, got {U.dim}")
     if r < 1:
         raise HypothesisViolated(f"hook step needs r >= 1, got {r}")
     lhs = subspaces.pi_product(U) * ctx.h_r(r - 1, U).frobenius(1)
     rhs = -ctx.h_r(r, U)
-    return _case("hook-step", ctx.spec.q, U, (r,), (), t0, lhs == rhs, lhs, rhs)
+    return _case("hook-step", ctx.spec.q, U, (r,), (), lhs == rhs, lhs, rhs)
 
 
 def check_full_column(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
     """For a shape filling every row of V: S_lam(V) equals (-1)^n pi(V)
     times the q-th power of the straight value at lam less its first column."""
-    t0 = time.perf_counter()
     lam = partitions.partition(lam)
     spec, n = ctx.spec, V.dim
     lhs = ctx.schur_S(lam, V)
     reduced = ctx.schur_S(partitions.decrement_all(lam, n), V)
     rhs = (subspaces.pi_product(V) * reduced ** spec.q).scale(spec.sign(n))
-    return _case("full-column-reduction", spec.q, V, lam, (), t0, lhs == rhs, lhs, rhs)
+    return _case("full-column-reduction", spec.q, V, lam, (), lhs == rhs, lhs, rhs)
 
 
 # Elementary lemmas --------------------------------------------------------
@@ -420,31 +408,28 @@ def check_full_column(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
 def check_elementary_lemmas(spec: FieldSpec, n: int, seed: int = 0, trials: int = 20) -> list[CaseReport]:
     """The small arithmetic facts at dimension n, with the per-field
     permutation-witness search at n = 1 only."""
-    reports = _elementary_cases(spec, n, seed, trials)
+    reports = list(_elementary_cases(spec, n, seed, trials))
     if n == 1:
         reports.extend(_check_perm_witness(spec.q))
     return reports
 
 
-def _elementary_cases(spec: FieldSpec, n: int, seed: int, trials: int) -> list[CaseReport]:
+def _elementary_cases(spec: FieldSpec, n: int, seed: int, trials: int) -> Iterator[CaseReport]:
     """Every elementary lemma but perm-witness, at dimension n. Per-field
     facts (power sums) are only emitted at n = 1 so a sweep does not repeat
     them per dimension."""
     rng = random.Random(f"elementary:{spec.to_text()}:{n}:{seed}")
     q = spec.q
-    reports = []
     V = generic_space(spec, n)
     ring = V.ring
 
     if n == 1:
-        t0 = time.perf_counter()
         bad_i = next((i for i in range(q - 1) if not power_sum(spec, i).is_zero()), None)
-        reports.append(_case("power-sum-zero", q, 1, (), (), t0, bad_i is None,
-                             lambda: str(power_sum(spec, bad_i)), "0",
-                             basis=None if bad_i is None else f"i={bad_i}"))
+        yield _case("power-sum-zero", q, 1, (), (), bad_i is None,
+                    lambda: str(power_sum(spec, bad_i)), "0",
+                    basis=None if bad_i is None else f"i={bad_i}")
 
     if n >= 1:
-        t0 = time.perf_counter()
         lines = enumerate_lines(V)
         lhs = rhs = ring.zero
         for _ in range(trials):
@@ -459,10 +444,9 @@ def _elementary_cases(spec: FieldSpec, n: int, seed: int, trials: int) -> list[C
                     rhs = rhs - b[span(ring, [w])]
             if lhs != rhs:
                 break
-        reports.append(_case("line-sum", q, V, (), (), t0, lhs == rhs, lhs, rhs))
+        yield _case("line-sum", q, V, (), (), lhs == rhs, lhs, rhs)
 
     if n == 2:
-        t0 = time.perf_counter()
         lhs = rhs = ring.zero
         for w in enumerate_vectors(V):
             if not w.terms:
@@ -472,10 +456,9 @@ def _elementary_cases(spec: FieldSpec, n: int, seed: int, trials: int) -> list[C
             rhs = -(w ** (q - 1))
             if lhs != rhs:
                 break
-        reports.append(_case("pi-of-line", q, V, (), (), t0, lhs == rhs, lhs, rhs))
+        yield _case("pi-of-line", q, V, (), (), lhs == rhs, lhs, rhs)
 
     if n >= 2:
-        t0 = time.perf_counter()
         bad = None
         vectors = [w for w in enumerate_vectors(V) if w.terms]
         for k in range(1, n):
@@ -489,11 +472,10 @@ def _elementary_cases(spec: FieldSpec, n: int, seed: int, trials: int) -> list[C
                     break
             if bad:
                 break
-        reports.append(_case("vector-power-sum", q, V, (), (), t0, bad is None, total, "0",
-                             basis=V.describe() + (" k={} a={}".format(*bad) if bad else "")))
+        yield _case("vector-power-sum", q, V, (), (), bad is None, total, "0",
+                    basis=V.describe() + (" k={} a={}".format(*bad) if bad else ""))
 
     if 1 <= n <= 3:
-        t0 = time.perf_counter()
         degree_bound = n * (q - 1)
         coeff_ring = ambient_ring(spec, 2)
         total = coeff_ring.zero
@@ -511,8 +493,7 @@ def _elementary_cases(spec: FieldSpec, n: int, seed: int, trials: int) -> list[C
                     total = total + coeff.scale(factor)
             if not total.is_zero():
                 break
-        reports.append(_case("low-degree-point-sum", q, n, (), (), t0, total.is_zero(), total, "0"))
-    return reports
+        yield _case("low-degree-point-sum", q, n, (), (), total.is_zero(), total, "0")
 
 
 def _random_exponents(rng: random.Random, n: int, total_max: int) -> tuple[int, ...]:
@@ -553,7 +534,7 @@ def _perm_witness_search(witness, size: int):
     return None
 
 
-def _check_perm_witness(q: int) -> list[CaseReport]:
+def _check_perm_witness(q: int) -> Iterator[CaseReport]:
     """One perm-witness report per size 1..6, for field size q.
 
     The search (_perm_witness_search) is keyed by the perm_witness function
@@ -562,14 +543,11 @@ def _check_perm_witness(q: int) -> list[CaseReport]:
     case names the triple and what perm_witness returned.
     """
     witness = partitions.perm_witness
-    reports = []
     for size in range(1, 7):
-        t0 = time.perf_counter()
         bad = _perm_witness_search(witness, size)
-        reports.append(_case("perm-witness", q, size, (), (), t0, bad is None,
-                             lambda: "perm_witness({}, {}, {}) = {}".format(*bad),
-                             "alpha_i - beta_sigma(i) outside {0, 1}"))
-    return reports
+        yield _case("perm-witness", q, size, (), (), bad is None,
+                    lambda: "perm_witness({}, {}, {}) = {}".format(*bad),
+                    "alpha_i - beta_sigma(i) outside {0, 1}")
 
 
 # Structural properties ----------------------------------------------------
@@ -595,7 +573,6 @@ def check_gl_invariance(ctx: SchurContext, lam, V: Subspace, seed: int, changes:
     """The straight value is unchanged under invertible basis changes: on
     each random basis of V, the value on the generic space pushed onto that
     basis equals schur_S(lam, V). Needs len(lam) <= dim V."""
-    t0 = time.perf_counter()
     lam = partitions.partition(lam)
     rng = random.Random(f"gl:{ctx.spec.to_text()}:{V.describe()}:{lam}:{seed}")
     spec = ctx.spec
@@ -607,42 +584,41 @@ def check_gl_invariance(ctx: SchurContext, lam, V: Subspace, seed: int, changes:
         changed = evaluate_morphism(generic, vectors, target_ring=V.ring)
         if changed != base:
             break
-    return _case("gl-invariance", spec.q, V, lam, (), t0, changed == base, changed, base)
+    return _case("gl-invariance", spec.q, V, lam, (), changed == base, changed, base)
 
 
 def check_k_independence(ctx: SchurContext, lam, mu, V: Subspace) -> CaseReport:
-    t0 = time.perf_counter()
     lam = partitions.partition(lam)
     mu = partitions.partition(mu)
     least = max(len(lam), len(mu))
     a = ctx.skew_S(lam, mu, V)
     b = ctx.skew_S(lam, mu, V, k=least + 1)
-    return _case("k-independence", ctx.spec.q, V, lam, mu, t0, a == b, a, b)
+    return _case("k-independence", ctx.spec.q, V, lam, mu, a == b, a, b)
 
 
 def check_vanishing(ctx: SchurContext, lam, mu, V: Subspace, U: Subspace) -> list[CaseReport]:
     """Vanishing laws: skew is zero when mu is not contained in lam; the
     companion value is zero when some lam_i - mu_i falls outside 0..dim U."""
-    reports = []
+    return list(_vanishing_cases(ctx, lam, mu, V, U))
+
+
+def _vanishing_cases(ctx: SchurContext, lam, mu, V: Subspace, U: Subspace) -> Iterator[CaseReport]:
+    """The reports of check_vanishing, one at a time."""
     lam = partitions.partition(lam)
     mu = partitions.partition(mu)
     if not partitions.contains(lam, mu):
-        t0 = time.perf_counter()
         val = ctx.skew_S(lam, mu, V)
-        reports.append(_case("vanishing", ctx.spec.q, V, lam, mu, t0, val.is_zero(), val, "0"))
+        yield _case("vanishing", ctx.spec.q, V, lam, mu, val.is_zero(), val, "0")
     k = max(len(lam), len(mu), 1)
     if any(not 0 <= partitions.part(lam, i) - partitions.part(mu, i) <= U.dim
            for i in range(1, k + 1)):
-        t0 = time.perf_counter()
         val = ctx.tilde_S(lam, mu, U)
-        reports.append(_case("vanishing", ctx.spec.q, U, lam, mu, t0, val.is_zero(), val, "0",
-                             basis="tilde:" + U.describe()))
-    return reports
+        yield _case("vanishing", ctx.spec.q, U, lam, mu, val.is_zero(), val, "0",
+                    basis="tilde:" + U.describe())
 
 
 def check_division_round_trip(spec: FieldSpec, seed: int, pairs: int = 200) -> CaseReport:
     """exact_div inverts multiplication, and refuses a forced non-multiple."""
-    t0 = time.perf_counter()
     rng = random.Random(f"divide:{spec.to_text()}:{seed}")
     ring = ambient_ring(spec, 2)
     # On failure: the quotient exact_div returned, and what it should have
@@ -664,13 +640,12 @@ def check_division_round_trip(spec: FieldSpec, seed: int, pairs: int = 200) -> C
                 break
             except NotDivisible:
                 pass
-    return _case("division-round-trip", spec.q, 2, (), (), t0, want is None,
+    return _case("division-round-trip", spec.q, 2, (), (), want is None,
                  got, want, basis=f"pairs={pairs}")
 
 
 def check_degree_formula(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
     """The straight value is homogeneous of degree sum (q^lam_i - 1) q^(n-i)."""
-    t0 = time.perf_counter()
     lam = partitions.partition(lam)
     q = ctx.spec.q
     n = V.dim
@@ -678,14 +653,13 @@ def check_degree_formula(ctx: SchurContext, lam, V: Subspace) -> CaseReport:
     expected = sum((q ** partitions.part(lam, i) - 1) * q ** (n - i) for i in range(1, n + 1))
     degs = val.degrees()
     ok = degs == {expected} or (expected == 0 and val.is_one())
-    return _case("degree-formula", q, V, lam, (), t0, ok,
+    return _case("degree-formula", q, V, lam, (), ok,
                  lambda: "degrees " + str(sorted(degs)), expected)
 
 
 def check_functoriality(ctx: SchurContext, lam, n: int, ring: PolyRing, seed: int) -> CaseReport:
     """Substituting a random independent family commutes with taking values:
     the pushed-forward generic value equals the value on the spanned space."""
-    t0 = time.perf_counter()
     lam = partitions.partition(lam)
     spec = ctx.spec
     rng = random.Random(f"func:{spec.to_text()}:{n}:{lam}:{seed}")
@@ -693,19 +667,18 @@ def check_functoriality(ctx: SchurContext, lam, n: int, ring: PolyRing, seed: in
     pushed = evaluate_morphism(ctx.schur_S(lam, generic_space(spec, n)), images,
                                target_ring=ring)
     direct = ctx.schur_S(lam, W)
-    return _case("functoriality", spec.q, W, lam, (), t0, pushed == direct, pushed, direct)
+    return _case("functoriality", spec.q, W, lam, (), pushed == direct, pushed, direct)
 
 
 def check_coproduct_truncation(ctx: SchurContext, lam, mu, nu, V: Subspace, U: Subspace) -> CaseReport:
     """Addends at shapes outside the interval mu..lam vanish."""
-    t0 = time.perf_counter()
     lam = partitions.partition(lam)
     mu = partitions.partition(mu)
     nu = partitions.partition(nu)
     if partitions.contains(lam, nu) and partitions.contains(nu, mu):
         raise ConfigInvalid(f"{nu} lies between {mu} and {lam}; pick an outside shape")
     term = sum_of_products(V.ring, [_coproduct_addend(ctx, lam, mu, nu, V, U)])
-    return _case("coproduct-truncation", ctx.spec.q, V, lam, mu, t0, term.is_zero(), term, "0",
+    return _case("coproduct-truncation", ctx.spec.q, V, lam, mu, term.is_zero(), term, "0",
                  basis=f"{V.describe()} // {U.describe()} at nu={nu}")
 
 
@@ -776,7 +749,8 @@ class Identity:
 
 
 # Grids name their checks at call time, so a replaced check_* is the one
-# that runs. The window identities and the coproduct grid stop at dimension
+# that runs; the matrix-lemma and vanishing rows draw on the generators
+# behind their check_*, so that each of their cases is timed. The window identities and the coproduct grid stop at dimension
 # 2: their windows need one-row values of index up to dim + 10, which blow
 # up combinatorially in three or more generic variables. See README.
 IDENTITIES = (
@@ -797,7 +771,7 @@ IDENTITIES = (
     Identity(("he-inverse",), "matrix-calculus", _he_inverse_cases, max_n=2),
     Identity(("h-factorization",), "matrix-calculus", _factorization_cases, max_n=2),
     Identity(("cauchy-binet", "sign-scaled-det", "zero-block-det"), "matrix-calculus",
-             lambda cfg, ctx: check_matrix_lemmas(ctx.spec, cfg.seed, trials=cfg.trials),
+             lambda cfg, ctx: _matrix_cases(ctx.spec, cfg.seed, cfg.trials),
              per_field=True),
     Identity(("quotient-tower",), "subspace-calculus", lambda cfg, ctx, V: (
         check_quotient_tower(V, U, T, ctx.spec.q)
@@ -828,7 +802,7 @@ IDENTITIES = (
         for lam, mu in _pair_grid(_weight_cap(cfg, V.dim), V.dim))),
     Identity(("vanishing",), "structural", lambda cfg, ctx, V: (
         rep for lam, mu in _pair_grid(min(cfg.max_weight, 3), None)
-        for rep in check_vanishing(ctx, lam, mu, V, V))),
+        for rep in _vanishing_cases(ctx, lam, mu, V, V))),
     Identity(("division-round-trip",), "structural", lambda cfg, ctx: (
         check_division_round_trip(ctx.spec, cfg.seed, pairs=cfg.trials),), per_field=True),
     Identity(("degree-formula",), "structural", lambda cfg, ctx, V: (
@@ -964,9 +938,21 @@ def run_sweep(cfg: SweepConfig) -> dict:
     }
 
 
+def _timed(cases: Callable, *args) -> Iterator[CaseReport]:
+    """The reports of cases(*args), each with millis set to the wall time
+    since the report before it (since the call, for the first)."""
+    start = time.perf_counter()
+    for rep in cases(*args):
+        now = time.perf_counter()
+        rep.millis = int((now - start) * 1000)
+        start = now
+        yield rep
+
+
 def _sweep_reports(cfg: SweepConfig) -> list:
     """The unsorted case reports of run_sweep: per field, each chosen row of
-    IDENTITIES on every swept dimension, then the per-field rows."""
+    IDENTITIES on every swept dimension, then the per-field rows, each row
+    timed case by case."""
     chosen = cfg.selected()
     rows = [row for row in IDENTITIES if chosen.intersection(row.names)]
     reports: list[CaseReport] = []
@@ -979,11 +965,11 @@ def _sweep_reports(cfg: SweepConfig) -> list:
             ctx, V = SchurContext(spec), generic_space(spec, n)
             for row in rows:
                 if row.runs_at(n):
-                    found.extend(row.cases(cfg, ctx, V))
+                    found.extend(_timed(row.cases, cfg, ctx, V))
         ctx = SchurContext(spec)
         for row in rows:
             if row.per_field:
-                found.extend(row.cases(cfg, ctx))
+                found.extend(_timed(row.cases, cfg, ctx))
         if spec.e > 1:
             # q alone does not tell two moduli of one field size apart
             for rep in found:

@@ -272,6 +272,61 @@ def test_skew_matches_the_generic_route_on_bare_variable_bases(ftext):
     assert pushed_any
 
 
+def reference_minor(ctx, lam, mu, V, k, tilde=False):
+    """The k x k determinant built cell by cell, rows i and columns j:
+    det(phi^(mu_j - j + 1) H_(lam_i - mu_j - i + j)(V)) for the skew value,
+    det(phi^(lam_i - i) E_(lam_i - mu_j - i + j)(V)) for its tilde companion."""
+    rows = []
+    for i in range(1, k + 1):
+        a = part(lam, i) - i
+        b = [part(mu, j) - j for j in range(1, k + 1)]
+        rows.append([ctx.e_r(a - bj, V).frobenius(a) if tilde
+                     else ctx.h_r(a - bj, V).frobenius(bj + 1) for bj in b])
+    return fmatrix.det(fmatrix.PolyMatrix(V.ring, rows))
+
+
+def dense_line(spec):
+    """The line span(x, y) // span(x + y), spanned by a q-polynomial."""
+    R = ambient_ring(spec, 2)
+    x, y = R.gens()
+    return internal_quotient(span(R, [x, y]), span(R, [x + y]))
+
+
+def dense_plane(spec):
+    """The plane span(x, y, z) // span(x + z), spanned by q-polynomials."""
+    R = ambient_ring(spec, 3)
+    x, y, z = R.gens()
+    return internal_quotient(span(R, [x, y, z]), span(R, [x + z]))
+
+
+# (field, space, weight cap w): at size k + 1 <= 3 the minor reads up to
+# H_(w + 2), and on the plane H_6 at q=3, H_5 at q=4 and H_4 at q=5 pass
+# the term limit
+MINOR_CASES = [(f, dense_line, 4) for f in ("q=3", "q=2^2", "q=5")] + [
+    ("q=3", dense_plane, 3), ("q=2^2", dense_plane, 2), ("q=5", dense_plane, 1)]
+
+
+@pytest.mark.parametrize("ftext, space, w", MINOR_CASES)
+def test_skew_and_tilde_values_match_the_cell_by_cell_determinant(ftext, space, w):
+    """skew_S at its least size and one more, and tilde_S, against the
+    reference determinant on a dense basis, for every (lam, mu) of weight
+    at most w and length at most 2: odd q carries the tilde sign, and
+    mu != () negative twists."""
+    spec = parse_field_spec(ftext)
+    ctx, V = SchurContext(spec), space(spec)
+    shapes = partitions_up_to_weight(w, 2)
+    for lam in shapes:
+        for mu in shapes:
+            k = max(len(lam), len(mu))
+            for got, want in ((ctx.skew_S(lam, mu, V), reference_minor(ctx, lam, mu, V, k)),
+                              (ctx.skew_S(lam, mu, V, k=k + 1),
+                               reference_minor(ctx, lam, mu, V, k + 1)),
+                              (ctx.tilde_S(lam, mu, V),
+                               reference_minor(ctx, lam, mu, V, k, tilde=True))):
+                assert got == want, (lam, mu)
+                assert str(got) == str(want), (lam, mu)
+
+
 def test_skew_vanishes_without_containment():
     ctx, R, V = make()
     assert ctx.skew_S((1,), (2,), V).is_zero()

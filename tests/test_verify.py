@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -395,9 +396,9 @@ def test_perm_witness_search_runs_once_per_process(monkeypatch):
         return honest_witness(alpha, beta, sigma)
 
     monkeypatch.setattr(partitions, "perm_witness", counted)
-    first = verify._check_perm_witness(2)
+    first = list(verify._check_perm_witness(2))
     assert calls == 99_152
-    second = verify._check_perm_witness(3)
+    second = list(verify._check_perm_witness(3))
     assert calls == 99_152
 
     def strip(reports):
@@ -581,6 +582,30 @@ def test_run_sweep_with_no_trials_passes():
     assert report["aggregate"]["failed"] == 0
     per_trial = {"cauchy-binet", "sign-scaled-det", "zero-block-det"}
     assert {c["identity"] for c in report["cases"]} == set(ALL_IDENTITIES) - per_trial
+
+
+def test_the_sweep_times_each_case_from_outside_the_check(monkeypatch):
+    """The sweep's timer runs around each row's grid: a check that sleeps
+    50 ms before it starts still reports at least 50 ms."""
+    honest = verify.check_k_independence
+
+    def slow(*args):
+        time.sleep(0.05)
+        return honest(*args)
+
+    monkeypatch.setattr(verify, "check_k_independence", slow)
+    report = run_sweep(SweepConfig(fields=("q=2",), min_dim=1, max_dim=1, max_weight=1,
+                                   identities=("k-independence",)))
+    assert len(report["cases"]) == 3
+    assert all(c["millis"] >= 50 for c in report["cases"])
+
+
+def test_a_check_called_outside_a_sweep_reports_millis_zero():
+    spec, ctx, R, V = make()
+    assert check_k_independence(ctx, (2,), (1,), V).millis == 0
+    reports = (check_matrix_lemmas(spec, 0, trials=2) + check_elementary_lemmas(spec, 1, trials=2)
+               + check_vanishing(ctx, (1,), (2,), V, V))
+    assert isinstance(reports, list) and {r.millis for r in reports} == {0}
 
 
 def test_run_sweep_deterministic_modulo_millis():
