@@ -57,19 +57,6 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> Poly:
         return self.entries[i][j]
 
-    def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = self.entries[i][j]
-                if i == j:
-                    if not e.is_one():
-                        return False
-                elif e.terms:
-                    return False
-        return True
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented

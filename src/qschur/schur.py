@@ -9,18 +9,21 @@ of any n-dimensional subspace V gives the straight value S_lam(V), which
 does not depend on the basis chosen; other spaces reach it by the routes of
 SchurContext.
 
-Complete and elementary values H_r and E_r are the straight values at the
-one-row and one-column shapes, and the diagonals of the H and E arrays of a
-space (h_matrix, e_matrix). On every basis a skew value is the minor of V's
-H array on rows mu_j - j and columns lam_i - i, the Jacobi-Trudi form
-(Macdonald, Symmetric Functions and Hall Polynomials, I (5.4)); its tilde
-companion is the same minor of the E array, signed. Those rows reach below
-zero, where the array's Frobenius twist is negative, so fractional exponents
-may and do occur.
+The empty shape has value one on every space, the zero space included, and
+a shape longer than dim V has value zero; schur_S decides both. Complete and
+elementary values H_r and E_r are the straight values at the one-row and
+one-column shapes, and the diagonals of the H and E arrays of a space
+(h_matrix, e_matrix). On every basis a skew value is the minor of V's H
+array on rows mu_j - j and columns lam_i - i (jacobi_trudi_minor), the
+Jacobi-Trudi form (Macdonald, Symmetric Functions and Hall Polynomials,
+I (5.4)), taken at its least size max(len lam, len mu); its tilde companion
+is the same minor of the E array, signed. Those rows reach below zero, where
+the array's Frobenius twist is negative, so fractional exponents may and do
+occur.
 
 A SchurContext carries the per-field caches: straight values keyed by
-(shape, space), and skew values keyed likewise with the matrix size. Cache
-inserts happen once, under a re-entrant lock.
+(shape, space), and skew values by (lam, mu, space). Cache inserts happen
+once, under a re-entrant lock.
 """
 
 from __future__ import annotations
@@ -36,23 +39,18 @@ from .ppoly import Poly, ambient_ring, evaluate_morphism, exact_div, sum_of_prod
 from .subspaces import Subspace, generic_space
 
 
-def _sized(lam, mu, k: int | None) -> tuple[Partition, Partition, int]:
-    """Validated shapes and size of a skew value's minor: k defaults to the
-    longer shape's length, and a smaller k is refused."""
-    lam = partitions.partition(lam)
-    mu = partitions.partition(mu)
+def jacobi_trudi_minor(array: fmatrix.TwistedToeplitz, lam: Partition, mu: Partition,
+                       k: int) -> fmatrix.PolyMatrix:
+    """The k x k minor of an H or E array on rows mu_j - j and columns
+    lam_i - i, 1 <= i, j <= k, for partitions lam and mu.
+
+    A k below max(len(lam), len(mu)) would drop a part and is refused
+    (LengthTooLong). Every larger k gives a minor of the same determinant,
+    which is what the k-independence identity checks.
+    """
     least = max(len(lam), len(mu))
-    if k is None:
-        return lam, mu, least
     if k < least:
         raise LengthTooLong(f"matrix size {k} below max length {least}")
-    return lam, mu, k
-
-
-def _minor(array: fmatrix.TwistedToeplitz, lam: Partition, mu: Partition,
-           k: int) -> fmatrix.PolyMatrix:
-    """The minor of an H or E array on rows mu_j - j and columns lam_i - i,
-    1 <= i, j <= k."""
     return fmatrix.sub_minor(array, [partitions.part(mu, j) - j for j in range(1, k + 1)],
                              [partitions.part(lam, i) - i for i in range(1, k + 1)])
 
@@ -109,38 +107,36 @@ class SchurContext:
     - gl-invariance, functoriality: schur_S against the generic value
       pushed onto a random basis of V, and onto a random family; these
       carry the claim that substitution commutes with taking values;
-    - k-independence: skew_S at size k against size k + 1; vanishing and
-      degree-formula against closed forms.
+    - k-independence: skew_S against the determinant of its
+      jacobi_trudi_minor one size larger, which verify forms itself;
+      vanishing and degree-formula against closed forms.
     """
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self._straight: dict[tuple[Partition, Subspace], Poly] = {}
-        self._skew: dict[tuple[Partition, Partition, int, Subspace], Poly] = {}
+        self._skew: dict[tuple[Partition, Partition, Subspace], Poly] = {}
         self._lock = threading.RLock()
 
     # Alternants -----------------------------------------------------------
 
-    def alternant(self, alpha: Sequence[int], n: int) -> Poly:
-        """det(x_i ** q**alpha_j) in the n-variable ambient ring (n <= 8)."""
-        alpha = tuple(alpha)
-        if len(alpha) != n:
-            raise LengthTooLong(f"composition {alpha} must have length n={n}")
+    def alternant(self, alpha: Sequence[int]) -> Poly:
+        """det(x_i ** q**alpha_j) in the ambient ring of n = len(alpha)
+        variables (n <= 8); one when alpha is empty."""
+        n = len(alpha)
         ring = ambient_ring(self.spec, n)
-        rows = [[ring.gen(i).frobenius(a) for a in alpha] for i in range(n)]
-        if n == 0:
-            return ring.one
-        return fmatrix.det(fmatrix.PolyMatrix(ring, rows))
+        return fmatrix.det(fmatrix.PolyMatrix(
+            ring, [[ring.gen(i).frobenius(a) for a in alpha] for i in range(n)]))
 
     # Straight values -----------------------------------------------------
 
     def schur_S(self, lam: Partition, V: Subspace) -> Poly:
-        """The straight value S_lam(V); zero when lam is longer than dim V."""
+        """The straight value S_lam(V); zero when lam is longer than dim V,
+        one at the empty shape on every space."""
         lam = partitions.partition(lam)
-        n = V.dim
-        if len(lam) > n:
+        if len(lam) > V.dim:
             return V.ring.zero
-        if n == 0:
+        if not lam:
             return V.ring.one
         key = (lam, V)
         with self._lock:
@@ -164,8 +160,8 @@ class SchurContext:
         n = V.dim
         G = generic_space(self.spec, n)
         if V is G:
-            top = self.alternant(partitions.pad_and_add(lam, n), n)
-            bottom = self.alternant(partitions.delta(n), n)
+            top = self.alternant(partitions.pad_and_add(lam, n))
+            bottom = self.alternant(partitions.delta(n))
             return evaluate_morphism(exact_div(top, bottom), list(V.basis))
         if all(p == 1 for p in lam):
             return evaluate_morphism(self.schur_S(lam, G), list(V.basis))
@@ -184,38 +180,39 @@ class SchurContext:
         return self.skew_S(lam, (), V)
 
     def h_r(self, r: int, V: Subspace) -> Poly:
-        """Complete value: S at the one-row shape; zero for r < 0, one at r = 0."""
+        """Complete value: S at the one-row shape (r); zero for r < 0."""
         if r < 0:
             return V.ring.zero
-        if r == 0:
-            return V.ring.one
         return self.schur_S((r,), V)
 
     def e_r(self, r: int, V: Subspace) -> Poly:
-        """Elementary value: S at the one-column shape; zero outside 0..dim V."""
-        if r < 0 or r > V.dim:
+        """Elementary value: S at the one-column shape (1^r); zero for r < 0.
+
+        schur_S sends a column longer than dim V to zero, so the column is
+        cut at dim V + 1 boxes rather than written out r boxes long.
+        """
+        if r < 0:
             return V.ring.zero
-        if r == 0:
-            return V.ring.one
-        return self.schur_S((1,) * r, V)
+        return self.schur_S((1,) * min(r, V.dim + 1), V)
 
     # Skew values ----------------------------------------------------------
 
-    def skew_S(self, lam: Partition, mu: Partition, V: Subspace, k: int | None = None) -> Poly:
-        """The minor of h_matrix(V) on rows mu_j - j and columns lam_i - i,
-        1 <= i, j <= k: det(phi^(mu_j - j + 1) H_(lam_i - mu_j - i + j)(V)).
+    def skew_S(self, lam: Partition, mu: Partition, V: Subspace) -> Poly:
+        """The jacobi_trudi_minor of h_matrix(V) at its least size k =
+        max(len(lam), len(mu)): det(phi^(mu_j - j + 1) H_(lam_i - mu_j - i + j)(V)).
 
-        The size k defaults to max(len(lam), len(mu)) and any larger k gives
-        the same value. Negative twists make fractional exponents possible;
-        they are returned as-is. The entries are the cached one-row values on
-        V's own basis, so no basis vector is raised to a large power.
+        Negative twists make fractional exponents possible; they are
+        returned as-is. The entries are the cached one-row values on V's own
+        basis, so no basis vector is raised to a large power.
         """
-        lam, mu, k = _sized(lam, mu, k)
-        key = (lam, mu, k, V)
+        lam = partitions.partition(lam)
+        mu = partitions.partition(mu)
+        key = (lam, mu, V)
         with self._lock:
             got = self._skew.get(key)
             if got is None:
-                got = self._skew[key] = fmatrix.det(_minor(self.h_matrix(V), lam, mu, k))
+                got = self._skew[key] = fmatrix.det(jacobi_trudi_minor(
+                    self.h_matrix(V), lam, mu, max(len(lam), len(mu))))
         return got
 
     def tilde_S(self, lam: Partition, mu: Partition, U: Subspace) -> Poly:
@@ -226,9 +223,11 @@ class SchurContext:
         (-1)^(lam_i - mu_j - i + j), whose product over a permutation is
         (-1)^(|lam| - |mu|).
         """
-        lam, mu, k = _sized(lam, mu, None)
+        lam = partitions.partition(lam)
+        mu = partitions.partition(mu)
         sign = self.spec.sign(partitions.weight(lam) - partitions.weight(mu))
-        return fmatrix.det(_minor(self.e_matrix(U), lam, mu, k)).scale(sign)
+        return fmatrix.det(jacobi_trudi_minor(
+            self.e_matrix(U), lam, mu, max(len(lam), len(mu)))).scale(sign)
 
     # Triangular arrays ----------------------------------------------------
 

@@ -76,15 +76,6 @@ def test_matrix_shape_errors():
         det(PolyMatrix(R, [[x, y]]))
 
 
-def test_is_identity():
-    R = ring3()
-    x, _ = R.gens()
-    eye = PolyMatrix(R, [[R.one, R.zero], [R.zero, R.one]])
-    assert eye.is_identity()
-    assert not PolyMatrix(R, [[R.one, x], [R.zero, R.one]]).is_identity()
-    assert not PolyMatrix(R, [[R.one, R.zero]]).is_identity()
-
-
 def band(ring, x):
     """Unitriangular array with x on the first superdiagonal."""
     def entry(i, j):

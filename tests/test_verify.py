@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from qschur import partitions, schur, verify
+from qschur import fmatrix, partitions, schur, verify
 from qschur.errors import (
     ConfigInvalid,
     HypothesisViolated,
@@ -122,16 +122,17 @@ def test_he_inverse_holds_in_both_orders(monkeypatch, ftext, n):
     window of a product of upper-triangular arrays is the product of their
     windows, so H*E on the same window is the identity too. E_1 + 1 in
     place of E_1 fails the check."""
-    from qschur import fmatrix
-
     spec = parse_field_spec(ftext)
     ctx = SchurContext(spec)
     R = ambient_ring(spec, n)
     V = span(R, R.gens())
     lo, hi = -(n + 2), n + 2
     H, E = ctx.h_matrix(V), ctx.e_matrix(V)
-    assert fmatrix.window_product(E, H, lo, hi).is_identity()
-    assert fmatrix.window_product(H, E, lo, hi).is_identity()
+    size = hi - lo + 1
+    eye = fmatrix.PolyMatrix(R, [[R.one if i == j else R.zero for j in range(size)]
+                                 for i in range(size)])
+    assert fmatrix.window_product(E, H, lo, hi) == eye
+    assert fmatrix.window_product(H, E, lo, hi) == eye
     assert check_he_inverse(ctx, V, lo, hi).status == "pass"
     honest = ctx.e_r
     monkeypatch.setattr(ctx, "e_r",
@@ -139,6 +140,30 @@ def test_he_inverse_holds_in_both_orders(monkeypatch, ftext, n):
     rep = check_he_inverse(ctx, V, lo, hi)
     assert rep.status == "fail"
     assert rep.lhs and rep.rhs and rep.lhs != rep.rhs
+
+
+def test_k_independence_reads_the_larger_minor(monkeypatch):
+    """Adding one to the bottom-right cell of the minor above the least size
+    doubles its determinant (the last column is (0, ..., 0, 1)), so at q=3
+    k-independence must fail on span(x, y) with lam = (2, 1), mu = (1,)."""
+    spec, ctx, R, V = make(q=3)
+    lam, mu = (2, 1), (1,)
+    assert check_k_independence(ctx, lam, mu, V).status == "pass"
+    honest = verify.jacobi_trudi_minor
+
+    def bumped(array, la, m, k):
+        minor = honest(array, la, m, k)
+        if k == max(len(la), len(m)):
+            return minor
+        rows = [list(row) for row in minor.entries]
+        rows[-1][-1] = rows[-1][-1] + R.one
+        return fmatrix.PolyMatrix(R, rows)
+
+    monkeypatch.setattr(verify, "jacobi_trudi_minor", bumped)
+    rep = check_k_independence(SchurContext(spec), lam, mu, V)
+    value = ctx.skew_S(lam, mu, V)
+    assert rep.status == "fail"
+    assert rep.lhs == str(value) and rep.rhs == str(value + value)
 
 
 def test_check_factorization_small():
@@ -445,7 +470,7 @@ def test_straight_recursion_catches_a_corrupted_universal_value(monkeypatch):
     assert V is generic_space(spec, V.dim)
     clean = SchurContext(spec)
     assert check_straight_recursion(clean, (2,), V).status == "pass"
-    top = ctx.alternant(pad_and_add((2,), V.dim), V.dim)
+    top = ctx.alternant(pad_and_add((2,), V.dim))
     honest = schur.exact_div
 
     def corrupted(a, b):
