@@ -8,7 +8,7 @@ polynomial equality at small parameters.
 """
 
 from .errors import QschurError
-from .gf import FieldSpec, field_enumerate, parse_field_spec, power_sum, wilson_product
+from .gf import FieldSpec, parse_field_spec, power_sum
 from .partitions import partition
 from .ppoly import (
     Poly,
@@ -49,13 +49,11 @@ __all__ = [
     "enumerate_vectors",
     "evaluate_morphism",
     "exact_div",
-    "field_enumerate",
     "internal_quotient",
     "parse_field_spec",
     "partition",
     "pi_product",
     "power_sum",
     "span",
-    "wilson_product",
     "__version__",
 ]

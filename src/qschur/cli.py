@@ -164,7 +164,7 @@ def cmd_verify(args) -> int:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigInvalid(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or a number too long to convert
             raise ConfigInvalid(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigInvalid("config file must hold a JSON object")

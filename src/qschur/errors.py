@@ -40,10 +40,6 @@ class ExponentTooLong(QschurError):
     text (sys.get_int_max_str_digits)."""
 
 
-class LengthExceeded(QschurError):
-    """Partition longer than the staircase it must be added to."""
-
-
 class NotFullColumn(QschurError):
     """Partition does not occupy every row of the ambient rectangle."""
 

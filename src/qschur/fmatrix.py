@@ -2,12 +2,12 @@
 
 Three array kinds appear here. PolyMatrix is a finite dense matrix with
 0-based indices. TriangularZMatrix is an infinite upper-triangular array
-indexed by arbitrary integers, given by an entry function; windows of it
-are materialized as PolyMatrix values. Entry functions must vanish below
-the diagonal, and that contract is asserted by sampling on every window a
-caller touches. TwistedToeplitz is the triangular array whose cell (i, j)
-is phi^(i + offset) of a diagonal value D(j - i), phi the Frobenius twist,
-so that cell (i + 1, j + 1) is phi of cell (i, j): the H and E arrays of a
+indexed by arbitrary integers: its one accessor entry(i, j) reads a cell
+function on and above the diagonal and zero below it, so the shape holds
+by construction. Windows of it are materialized as PolyMatrix values.
+TwistedToeplitz is the triangular array whose cell (i, j) is
+phi^(i + offset) of a diagonal value D(j - i), phi the Frobenius twist, so
+that cell (i + 1, j + 1) is phi of cell (i, j): the H and E arrays of a
 subspace are of this kind.
 
 Determinants are computed by cofactor expansion with memoized minors, which
@@ -21,6 +21,7 @@ lifts of the first row.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .errors import (
@@ -106,35 +107,23 @@ def det(m: PolyMatrix) -> Poly:
 
 
 class TriangularZMatrix:
-    """Upper-triangular array over all integer indices, defined by a function.
+    """Upper-triangular array over all integer indices.
 
-    entry_fn(i, j) must return a ring element for every pair of integers and
-    must vanish whenever i > j. The tag names the array in error messages.
+    entry(i, j) is cell(i, j) for i <= j and the ring's zero for i > j,
+    where cell is never called; cell(i, j) must return a ring element for
+    every pair of integers i <= j.
     """
 
-    __slots__ = ("ring", "entry_fn", "tag")
+    __slots__ = ("ring", "entry")
 
-    def __init__(self, ring: PolyRing, entry_fn: Callable[[int, int], Poly], tag: str):
+    def __init__(self, ring: PolyRing, cell: Callable[[int, int], Poly]):
+        zero = ring.zero
+
+        def entry(i: int, j: int) -> Poly:
+            return cell(i, j) if i <= j else zero
+
         self.ring = ring
-        self.entry_fn = entry_fn
-        self.tag = tag
-
-    def entry(self, i: int, j: int) -> Poly:
-        return self.entry_fn(i, j)
-
-    def audit_window(self, lo: int, hi: int) -> None:
-        """Assert the below-diagonal entries vanish on the window [lo, hi]."""
-        for i in range(lo, hi + 1):
-            for j in range(lo, i):
-                e = self.entry_fn(i, j)
-                if e.terms:
-                    raise HypothesisViolated(
-                        f"array {self.tag} is not upper triangular: "
-                        f"entry ({i}, {j}) = {e}"
-                    )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.tag})"
+        self.entry = entry
 
 
 class TwistedToeplitz(TriangularZMatrix):
@@ -149,13 +138,8 @@ class TwistedToeplitz(TriangularZMatrix):
 
     __slots__ = ()
 
-    def __init__(self, ring: PolyRing, diag: Callable[[int], Poly], offset: int, tag: str):
-        zero = ring.zero
-
-        def entry(i: int, j: int) -> Poly:
-            return diag(j - i).frobenius(i + offset) if i <= j else zero
-
-        super().__init__(ring, entry, tag)
+    def __init__(self, ring: PolyRing, diag: Callable[[int], Poly], offset: int):
+        super().__init__(ring, lambda i, j: diag(j - i).frobenius(i + offset))
 
 
 def window_product(
@@ -181,17 +165,18 @@ def window_product(
     for m in (a, b):
         if not isinstance(m, TwistedToeplitz):
             raise WindowInvalid(
-                f"window product of {m!r}, which is not a Frobenius-twisted Toeplitz array"
+                f"window product of a {type(m).__name__}, which is not a "
+                "Frobenius-twisted Toeplitz array"
             )
     if a.ring is not b.ring:
         raise WindowInvalid("window product of arrays over different rings")
     ring = a.ring
     size = hi - lo + 1
     # cell (lo, lo + m) of a, looked up once for every diagonal that uses it
-    left = [a.entry_fn(lo, lo + m) for m in range(size)]
+    left = [a.entry(lo, lo + m) for m in range(size)]
     first = [
         sum_of_products(ring, [
-            (1, left[m], b.entry_fn(lo + m, lo + d)) for m in range(d + 1) if left[m].terms
+            (1, left[m], b.entry(lo + m, lo + d)) for m in range(d + 1) if left[m].terms
         ])
         for d in range(size)
     ]
@@ -206,7 +191,6 @@ def window_of(m: TriangularZMatrix, lo: int, hi: int) -> PolyMatrix:
     """Materialize the window [lo, hi] of a triangular array."""
     if lo > hi:
         raise WindowInvalid(f"window [{lo}, {hi}] is empty")
-    m.audit_window(lo, hi)
     return sub_minor(m, range(lo, hi + 1), range(lo, hi + 1))
 
 
@@ -216,7 +200,7 @@ def sub_minor(
     """The finite submatrix on the given integer rows and columns."""
     return PolyMatrix(
         m.ring,
-        [[m.entry_fn(i, j) for j in col_idx] for i in row_idx],
+        [[m.entry(i, j) for j in col_idx] for i in row_idx],
     )
 
 
@@ -250,33 +234,19 @@ def cauchy_binet(
     if a.ring is not b.ring:
         raise ShapeMismatch("arrays over different rings")
     ring = a.ring
-    u = len(ii)
-    if u:
-        lo = min(ii[-1], jj[-1]) - 1
-        hi = max(ii[0], jj[0]) + 1
-        a.audit_window(lo, hi)
-        b.audit_window(lo, hi)
-
     direct = det(PolyMatrix(ring, [
-        [sum_of_products(ring, [(1, a.entry_fn(i, k), b.entry_fn(k, j)) for k in range(i, j + 1)])
+        [sum_of_products(ring, [(1, a.entry(i, k), b.entry(k, j)) for k in range(i, j + 1)])
          for j in jj]
         for i in ii
     ]))
-
-    addends = []
-
-    def build(k: int, prev: int | None, acc: tuple[int, ...]):
-        if k == u:
-            g = acc
-            left = det(sub_minor(a, ii, g))
-            right = det(sub_minor(b, g, jj))
-            addends.append((g, left, right))
-            return
-        hi_k = jj[k] if prev is None else min(jj[k], prev - 1)
-        for gk in range(hi_k, ii[k] - 1, -1):
-            build(k + 1, gk, acc + (gk,))
-
-    build(0, None, ())
+    # strictly decreasing g, listed from jj[0] down to ii[-1] in
+    # lexicographically decreasing order, of which ii <= g <= jj slotwise
+    down = range(jj[0], ii[-1] - 1, -1) if ii else ()
+    addends = [
+        (g, det(sub_minor(a, ii, g)), det(sub_minor(b, g, jj)))
+        for g in combinations(down, len(ii))
+        if all(i <= k <= j for i, k, j in zip(ii, g, jj))
+    ]
     return direct, addends
 
 

@@ -19,6 +19,7 @@ coefficient vector read from the highest basis coefficient down.
 from __future__ import annotations
 
 import re
+import sys
 
 from .errors import InvalidFieldSpec, PolyParseError
 
@@ -312,32 +313,30 @@ def field_spec(p: int, e: int = 1, modulus=None) -> FieldSpec:
     return FieldSpec(p, e, modulus)
 
 
+def parse_decimal(text: str) -> int:
+    """int(text) for a numeral of decimal digits; PolyParseError when it has
+    more digits than the interpreter converts (sys.get_int_max_str_digits)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        raise PolyParseError(
+            f"a number of {len(text)} digits is over the interpreter's limit of {limit}"
+        )
+    return int(text)
+
+
 def parse_field_spec(text: str) -> FieldSpec:
     """Parse "q=p" or "q=p^e:c0,c1,...,ce" (built-in modulus when omitted)."""
     m = _FIELD_RE.match(text.strip())
     if m is None:
         raise PolyParseError(f"cannot parse field spec {text!r}")
-    p = int(m.group(1))
-    e = int(m.group(2)) if m.group(2) else 1
+    p = parse_decimal(m.group(1))
+    e = parse_decimal(m.group(2)) if m.group(2) else 1
     modulus = None
     if m.group(3) is not None:
         if e == 1:
             raise PolyParseError("prime field spec must not carry a modulus")
-        modulus = tuple(int(c) for c in m.group(3).split(","))
+        modulus = tuple(parse_decimal(c) for c in m.group(3).split(","))
     return field_spec(p, e, modulus)
-
-
-def field_enumerate(spec: FieldSpec) -> tuple[FieldElement, ...]:
-    """All q elements in the fixed order (zero first, one second)."""
-    return spec.elements
-
-
-def wilson_product(spec: FieldSpec) -> FieldElement:
-    """Product of all nonzero elements; always equals -1."""
-    acc = spec.one
-    for a in spec.elements[1:]:
-        acc = acc * a
-    return acc
 
 
 def power_sum(spec: FieldSpec, i: int) -> FieldElement:

@@ -8,11 +8,9 @@ of staircase addition) are plain tuples of nonnegative integers.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 
 from .errors import (
     HypothesisViolated,
-    LengthExceeded,
     LengthTooLong,
     NotFullColumn,
     NotVerticalStrip,
@@ -68,7 +66,7 @@ def delta(n: int) -> Composition:
 def pad_and_add(lam: Partition, n: int) -> Composition:
     """lam padded to length n plus the staircase delta(n); strictly decreasing."""
     if len(lam) > n:
-        raise LengthExceeded(f"partition {lam} is longer than the staircase size {n}")
+        raise LengthTooLong(f"partition {lam} is longer than the staircase size {n}")
     return tuple(part(lam, i) + (n - i) for i in range(1, n + 1))
 
 
@@ -202,8 +200,3 @@ def subpartitions_between(mu: Partition, lam: Partition) -> list[Partition]:
     build(0, [])
     out.sort(key=lambda nu: (-sum(nu), nu))
     return out
-
-
-def all_permutations(n: int):
-    """All permutations of 0..n-1 as tuples, in lexicographic order."""
-    return permutations(range(n))

@@ -68,7 +68,7 @@ from .errors import (
     RingMismatch,
     TermLimitExceeded,
 )
-from .gf import FieldElement, FieldSpec
+from .gf import FieldElement, FieldSpec, parse_decimal
 
 DEFAULT_TERM_LIMIT = 2_000_000
 _term_limit = DEFAULT_TERM_LIMIT
@@ -753,11 +753,11 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
             if not factor:
                 raise PolyParseError(f"empty factor in term {term!r}")
             if factor.isdigit():
-                coeff = coeff * spec.element(int(factor))
+                coeff = coeff * spec.element(parse_decimal(factor))
                 continue
             mvec = _COEFF_VEC_RE.match(factor)
             if mvec:
-                cs = [int(c) for c in mvec.group(1).split(",")]
+                cs = [parse_decimal(c.strip()) for c in mvec.group(1).split(",")]
                 if len(cs) != spec.e:
                     raise PolyParseError(
                         f"coefficient {factor} has {len(cs)} coordinates, field needs {spec.e}"
@@ -773,10 +773,10 @@ def _parse_poly(ring: PolyRing, text: str) -> Poly:
                 raise PolyParseError(
                     f"unknown variable {name!r}; ring variables are {', '.join(ring.names)}"
                 )
-            num = int(mv.group(2)) if mv.group(2) else 1
+            num = parse_decimal(mv.group(2)) if mv.group(2) else 1
             dpow = 0
             if mv.group(3):
-                den = int(mv.group(3))
+                den = parse_decimal(mv.group(3))
                 if den < 1:
                     raise PolyParseError(f"bad exponent denominator in {factor!r}")
                 while den > 1:

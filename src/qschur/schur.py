@@ -233,15 +233,11 @@ class SchurContext:
 
     def h_matrix(self, V: Subspace, twist: int = 0) -> fmatrix.TwistedToeplitz:
         """Entries phi^(i + 1 + twist) H_(j - i)(V); unitriangular."""
-        return fmatrix.TwistedToeplitz(
-            V.ring, lambda d: self.h_r(d, V), 1 + twist, tag=f"H[{V.describe()}]+{twist}",
-        )
+        return fmatrix.TwistedToeplitz(V.ring, lambda d: self.h_r(d, V), 1 + twist)
 
     def e_matrix(self, V: Subspace) -> fmatrix.TwistedToeplitz:
         """Entries (-1)^(j - i) phi^j E_(j - i)(V), that is phi^i of the
         diagonal value (-1)^d phi^d E_d(V) at d = j - i; unitriangular."""
         sign = self.spec.sign
         return fmatrix.TwistedToeplitz(
-            V.ring, lambda d: self.e_r(d, V).frobenius(d).scale(sign(d)), 0,
-            tag=f"E[{V.describe()}]",
-        )
+            V.ring, lambda d: self.e_r(d, V).frobenius(d).scale(sign(d)), 0)

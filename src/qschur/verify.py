@@ -16,7 +16,7 @@ import random
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from . import fmatrix, partitions, subspaces
 from .errors import (
@@ -265,21 +265,17 @@ def _random_poly(ring: PolyRing, rng: random.Random, max_terms=2, max_exp=6,
     return ring.from_terms(terms)
 
 
-def _band_array(ring: PolyRing, rng: random.Random, lo: int, hi: int, width: int, tag: str):
+def _band_array(ring: PolyRing, rng: random.Random, lo: int, hi: int, width: int):
     """A random unitriangular array supported on a band above the diagonal."""
     cells = {}
     for i in range(lo - 1, hi + 2):
         for j in range(i + 1, min(i + width, hi + 1) + 1):
             cells[(i, j)] = _random_poly(ring, rng, max_terms=2, max_exp=3, allow_zero=True)
 
-    def entry(i, j):
-        if i == j:
-            return ring.one
-        if i > j:
-            return ring.zero
-        return cells.get((i, j), ring.zero)
+    def cell(i, j):
+        return ring.one if i == j else cells.get((i, j), ring.zero)
 
-    return fmatrix.TriangularZMatrix(ring, entry, tag=tag)
+    return fmatrix.TriangularZMatrix(ring, cell)
 
 
 def check_matrix_lemmas(spec: FieldSpec, seed: int, trials: int = 50) -> list[CaseReport]:
@@ -300,8 +296,8 @@ def _matrix_cases(spec: FieldSpec, seed: int, trials: int) -> Iterator[CaseRepor
 
     lo, hi = -4, 6
     for t in range(trials):
-        a = _band_array(ring, rng, lo, hi, 2, tag=f"a{t}")
-        b = _band_array(ring, rng, lo, hi, 2, tag=f"b{t}")
+        a = _band_array(ring, rng, lo, hi, 2)
+        b = _band_array(ring, rng, lo, hi, 2)
         u = rng.randint(0, 3)
         ii = tuple(sorted(rng.sample(range(lo, hi + 1), u), reverse=True))
         jj = tuple(sorted(rng.sample(range(lo, hi + 1), u), reverse=True))
@@ -519,7 +515,7 @@ def _perm_witness_search(witness, size: int):
     per process for each witness function and size; a replaced witness
     function is a new key and gets a search of its own.
     """
-    perms = [s for s in partitions.all_permutations(size) if s != tuple(range(size))]
+    perms = [s for s in permutations(range(size)) if s != tuple(range(size))]
     for beta in combinations(range(3, -4, -1), size):
         for bits in product((0, 1), repeat=size):
             alpha = tuple(b + d for b, d in zip(beta, bits))

@@ -152,6 +152,33 @@ def test_exit_code_2_on_bad_partition(capsys, argv):
     assert err.startswith("error:")
 
 
+# A 5,000-digit number, past the interpreter's default limit of 4,300 digits
+# on conversion between int and str.
+LONG = "3" * 5000
+S1 = ("compute", "S", "--lambda", "1")
+
+
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(S1 + ("--basis", f"x^{LONG}"), None, id="exponent"),
+    pytest.param(S1 + ("--basis", f"x^2/{LONG}"), None, id="denominator"),
+    pytest.param(S1 + ("--basis", f"{LONG}*x"), None, id="coefficient"),
+    pytest.param(S1 + ("--basis", "x", "--field", f"q={LONG}"), None, id="field-size"),
+    pytest.param(S1 + ("--basis", "x", "--field", f"q=2^{LONG}"), None, id="field-degree"),
+    pytest.param(S1 + ("--basis", "x", "--field", f"q=2^2:1,1,{LONG}"), None, id="modulus"),
+    pytest.param(("verify", "--field", f"q={LONG}"), None, id="verify-field"),
+    pytest.param(("verify",), f'{{"seed": {LONG}}}', id="config-seed"),
+    pytest.param(("verify",), f'{{"max_weight": {LONG}}}', id="config-max-weight"),
+])
+def test_a_number_past_the_int_string_limit_exits_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "long.json"
+        cfg.write_text(config)
+        argv += ("--config", str(cfg))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "limit" in err
+
+
 def test_exit_code_2_on_bad_field(capsys):
     code, _, err = run(capsys, "compute", "S", "--lambda", "1",
                        "--field", "q=6", "--basis", "x;y")

@@ -1,5 +1,8 @@
 """Determinant calculus on dense and integer-indexed triangular matrices."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from qschur.errors import (
@@ -25,6 +28,7 @@ from qschur.gf import field_spec, parse_field_spec
 from qschur.ppoly import ambient_ring, sum_of_products
 from qschur.schur import SchurContext
 from qschur.subspaces import enumerate_subspaces, internal_quotient, span
+from qschur.verify import _band_array
 
 
 def ring3():
@@ -84,10 +88,10 @@ def band(ring, x):
         if j == i + 1:
             return x
         return ring.zero
-    return TriangularZMatrix(ring, entry, "band")
+    return TriangularZMatrix(ring, entry)
 
 
-def test_window_of_and_audit():
+def test_window_of():
     R = ring3()
     x, _ = R.gens()
     m = band(R, x)
@@ -99,12 +103,27 @@ def test_window_of_and_audit():
         window_of(m, 2, 1)
 
 
-def test_audit_rejects_lower_entries():
+def test_cells_below_the_diagonal_are_zero_by_construction():
+    """A cell function that is x everywhere still gives an upper-triangular
+    array, read through every accessor, and is never asked below the
+    diagonal."""
     R = ring3()
     x, _ = R.gens()
-    bad = TriangularZMatrix(R, lambda i, j: x, "bad")
-    with pytest.raises(HypothesisViolated):
-        bad.audit_window(-1, 1)
+    asked = []
+
+    def cell(i, j):
+        asked.append((i, j))
+        return x
+
+    m = TriangularZMatrix(R, cell)
+    assert m.entry(1, 0).is_zero() and m.entry(0, 1) == x
+    w = window_of(m, -1, 1)
+    assert all(w.entry(r, s).is_zero() for r in range(3) for s in range(r))
+    assert all(w.entry(r, s) == x for r in range(3) for s in range(r, 3))
+    sm = sub_minor(m, (2, 0), (1, -1))
+    assert sm.entry(0, 0).is_zero() and sm.entry(0, 1).is_zero()
+    assert sm.entry(1, 0) == x and sm.entry(1, 1).is_zero()
+    assert asked and all(i <= j for i, j in asked)
 
 
 def cell_by_cell(a, b, lo, hi):
@@ -121,7 +140,7 @@ def cell_by_cell(a, b, lo, hi):
 
 def twisted_band(ring, x):
     """Twisted unitriangular band: cell (i, i + 1) is phi^i(x)."""
-    return TwistedToeplitz(ring, lambda d: (ring.one, x)[d] if d < 2 else ring.zero, 0, "band")
+    return TwistedToeplitz(ring, lambda d: (ring.one, x)[d] if d < 2 else ring.zero, 0)
 
 
 def test_window_product_matches_hand_square():
@@ -153,7 +172,7 @@ def test_window_product_refuses_plain_arrays():
     x, _ = R.gens()
     plain, twisted = band(R, x), twisted_band(R, x)
     for a, b in ((plain, plain), (plain, twisted), (twisted, plain)):
-        with pytest.raises(WindowInvalid, match="band"):
+        with pytest.raises(WindowInvalid, match="TriangularZMatrix"):
             window_product(a, b, 0, 2)
     with pytest.raises(WindowInvalid):
         window_product(twisted, twisted, 2, 1)
@@ -227,6 +246,41 @@ def test_cauchy_binet_empty_indices():
     direct, addends = cauchy_binet(m, m, (), ())
     assert direct.is_one()
     assert len(addends) == 1
+
+
+def slotwise_indices(ii, jj):
+    """Reference list of cauchy_binet's index tuples g, by recursion over
+    the slots: g_k runs down from min(jj_k, g_(k-1) - 1) to ii_k."""
+    out = []
+
+    def build(k, prev, acc):
+        if k == len(ii):
+            out.append(acc)
+            return
+        hi_k = jj[k] if prev is None else min(jj[k], prev - 1)
+        for gk in range(hi_k, ii[k] - 1, -1):
+            build(k + 1, gk, acc + (gk,))
+
+    build(0, None, ())
+    return out
+
+
+def test_cauchy_binet_addends_follow_the_slotwise_recursion():
+    """Every pair of decreasing index tuples of length at most 2 in a
+    six-row window, and some of length 3, on two random band arrays: the
+    addends come in the recursion's order, each with its two minors."""
+    R = ring3()
+    rng = random.Random(7)
+    a, b = _band_array(R, rng, -2, 3, 2), _band_array(R, rng, -2, 3, 2)
+    idx = [g for u in range(3) for g in combinations(range(3, -3, -1), u)]
+    pairs = [(ii, jj) for ii in idx for jj in idx if len(ii) == len(jj)]
+    pairs += [((3, 1, -2), (3, 2, 0)), ((1, 0, -1), (3, 2, 1)),
+              ((0, -1, -2), (3, 1, 0)), ((2, 1, 0), (2, 1, 0)), ((3, 2, 1), (0, -1, -2))]
+    for ii, jj in pairs:
+        direct, addends = cauchy_binet(a, b, ii, jj)
+        assert addends == [(g, det(sub_minor(a, ii, g)), det(sub_minor(b, g, jj)))
+                           for g in slotwise_indices(ii, jj)], (ii, jj)
+        assert direct == sum_of_products(R, [(1, l, r) for _, l, r in addends])
 
 
 def test_scale_sign_det_equals_global_sign():

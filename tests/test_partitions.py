@@ -1,5 +1,7 @@
 """Partition combinatorics: containment, strips, staircases, witnesses."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,6 @@ from qschur.errors import (
     NotFullColumn,
 )
 from qschur.partitions import (
-    all_permutations,
     contains,
     decrement_all,
     delta,
@@ -89,6 +90,11 @@ def test_delta_and_pad_and_add():
     assert pad_and_add((4,), 1) == (4,)
 
 
+def test_pad_and_add_refuses_a_shape_longer_than_the_staircase():
+    with pytest.raises(LengthTooLong):
+        pad_and_add((1, 1, 1), 2)
+
+
 def test_decrement_all():
     assert decrement_all((3, 2, 1), 3) == (2, 1)
     assert decrement_all((1, 1), 2) == ()
@@ -150,7 +156,7 @@ def test_perm_witness_exhaustive_small():
             alpha = tuple(b + ((bits >> i) & 1) for i, b in enumerate(beta))
             if any(alpha[i] <= alpha[i + 1] for i in range(size - 1)):
                 continue
-            for sigma in all_permutations(size):
+            for sigma in permutations(range(size)):
                 if tuple(sigma) == tuple(range(size)):
                     assert perm_witness(alpha, beta, sigma) is None
                     continue
@@ -164,11 +170,6 @@ def test_perm_witness_rejects_bad_input():
         perm_witness((1, 2), (0, 1), (0, 1))  # alpha not decreasing
     with pytest.raises(HypothesisViolated):
         perm_witness((3, 1), (0,), (0, 1))  # length mismatch
-
-
-def test_all_permutations_count():
-    assert len(list(all_permutations(4))) == 24
-    assert list(all_permutations(0)) == [()]
 
 
 def ref_perm_witness(alpha, beta, sigma):
